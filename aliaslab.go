@@ -12,9 +12,9 @@
 // Basic use:
 //
 //	prog, err := aliaslab.ParseProgram("demo.c", source, aliaslab.Options{})
-//	res, err := prog.Analyze()                    // context-insensitive
-//	for _, pt := range res.StoreAtExit() { ... }  // location -> referent
-//	cs, err := prog.AnalyzeContextSensitive(0)    // the paper's comparator
+//	res, err := prog.Analyze(ctx, aliaslab.Config{})  // context-insensitive
+//	for _, pt := range res.StoreAtExit() { ... }      // location -> referent
+//	cs, err := prog.Analyze(ctx, aliaslab.Config{Backend: "cs"})  // the paper's comparator
 package aliaslab
 
 import (
@@ -27,7 +27,6 @@ import (
 	"aliaslab/internal/backend"
 	"aliaslab/internal/backend/andersen"
 	"aliaslab/internal/backend/steensgaard"
-	"aliaslab/internal/baseline"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
@@ -138,7 +137,7 @@ type IndirectOp struct {
 // Result is an analysis outcome.
 type Result struct {
 	prog  *Program
-	ci    *core.Result // non-nil for CI results (call graph, mod/ref)
+	ci    *core.Result // the CI-shaped solution behind the call graph and mod/ref
 	sets  map[*vdg.Output]*core.PairSet
 	label string
 
@@ -155,26 +154,8 @@ type Result struct {
 	MeetOps     int
 
 	// Engine carries the solver engine's work counters for the analysis
-	// that produced the final sets (zero for the baseline, which does
-	// not run on the engine).
+	// that produced the final sets.
 	Engine EngineStats
-}
-
-// Engine selects the solver engine configuration of an analysis run.
-// The zero value is the default engine (FIFO worklist).
-type Engine struct {
-	// Worklist is the worklist strategy: "" or "fifo" (the default),
-	// "lifo", or "priority". Every strategy reaches the same fixpoint;
-	// only the visit order (and the order-dependent counters) changes.
-	Worklist string
-}
-
-func (e Engine) strategy() (solver.Strategy, error) {
-	s, err := solver.ParseStrategy(e.Worklist)
-	if err != nil {
-		return solver.FIFO, fmt.Errorf("aliaslab: %w", err)
-	}
-	return s, nil
 }
 
 // EngineStats reports one engine run's work counters. Steps and
@@ -246,26 +227,34 @@ func (l Limits) budget(ctx context.Context) (limits.Budget, context.CancelFunc) 
 	return limits.Budget{Ctx: ctx, MaxSteps: l.MaxSteps, MaxPairs: l.MaxPairs}, cancel
 }
 
-// Analyze runs the context-insensitive analysis (paper Figure 1).
-func (p *Program) Analyze() (*Result, error) {
-	return p.AnalyzeWithEngine(Engine{})
-}
+// Config selects one analysis run. The zero value is the paper's
+// context-insensitive analysis (Figure 1) on the FIFO engine with no
+// resource limits.
+type Config struct {
+	// Backend names the points-to backend: "ci" (or "") for the
+	// paper's context-insensitive analysis, "cs" for the maximally
+	// context-sensitive one (Figure 5 with the §4.2 optimizations),
+	// "andersen" for the inclusion-constraint solver, and "steensgaard"
+	// for the unification solver. See Backends.
+	Backend string
 
-// AnalyzeWithEngine is Analyze on an explicitly configured solver
-// engine.
-func (p *Program) AnalyzeWithEngine(eng Engine) (*Result, error) {
-	strategy, err := eng.strategy()
-	if err != nil {
-		return nil, err
-	}
-	sp := p.span("solve-ci")
-	ci := core.AnalyzeInsensitiveEngine(p.unit.Graph, limits.Budget{}, strategy)
-	core.AttachEngine(sp, ci.Engine)
-	return &Result{
-		prog: p, ci: ci, sets: ci.Sets, label: "context-insensitive",
-		TransferFns: ci.Metrics.FlowIns, MeetOps: ci.Metrics.FlowOuts,
-		Engine: engineStats(ci.Engine),
-	}, nil
+	// Worklist is the solver's worklist strategy: "" or "fifo" (the
+	// default) or "lifo". Both reach the same fixpoint; only the visit
+	// order (and the order-dependent counters) changes. Steensgaard has
+	// no worklist to schedule, so a non-empty Worklist is rejected for
+	// it rather than silently ignored.
+	Worklist string
+
+	// Limits bounds the run. The zero value (with a context that can
+	// never be cancelled) runs to the exact fixpoint. Otherwise ci and
+	// cs run through the degradation ladder: exact CS, then CS with
+	// assumption-set widening, then the CI result — all sound, with
+	// Degraded and Notes on the Result saying which tier answered. A
+	// stopped CI fixpoint, or a stopped andersen/steensgaard solve,
+	// under-approximates: its partial result comes back with Degraded
+	// set AND a non-nil error, and must not be used as a may-alias
+	// answer.
+	Limits Limits
 }
 
 // Backends lists the selectable points-to backends in precision order,
@@ -282,120 +271,92 @@ func Backends() []string {
 	return out
 }
 
-// AnalyzeWithBackend runs the named points-to backend: "ci" (or "") for
-// the paper's context-insensitive analysis, "cs" for the maximally
-// context-sensitive one (unbounded; use AnalyzeContextSensitive to cap
-// its steps), "andersen" for the inclusion-constraint solver, and
-// "steensgaard" for the unification solver. The flow-insensitive
-// backends produce full CI-shaped results, so ModRef and CallGraph work
-// on them. Steensgaard has no worklist to schedule — a non-empty
-// Engine.Worklist is rejected rather than silently ignored.
-func (p *Program) AnalyzeWithBackend(name string, eng Engine) (*Result, error) {
-	kind, err := backend.ParseKind(name)
+// Analyze runs the analysis cfg selects. The flow-insensitive backends
+// produce full CI-shaped results, so ModRef and CallGraph work on every
+// backend.
+func (p *Program) Analyze(ctx context.Context, cfg Config) (*Result, error) {
+	kind, err := backend.ParseKind(cfg.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("aliaslab: %w", err)
 	}
-	switch kind {
-	case backend.CI:
-		return p.AnalyzeWithEngine(eng)
-	case backend.CS:
-		return p.AnalyzeContextSensitiveWithEngine(0, eng)
-	case backend.Andersen:
-		strategy, err := eng.strategy()
-		if err != nil {
-			return nil, err
-		}
-		sp := p.span("solve-andersen")
-		res := andersen.AnalyzeEngine(p.unit.Graph, limits.Budget{}, strategy)
-		core.AttachEngine(sp, res.Engine)
-		return &Result{
-			prog: p, ci: res, sets: res.Sets, label: "andersen (inclusion-based)",
-			TransferFns: res.Metrics.FlowIns, MeetOps: res.Metrics.FlowOuts,
-			Engine: engineStats(res.Engine),
-		}, nil
-	default: // backend.Steensgaard
-		if err := backend.ValidateWorklist(kind, eng.Worklist); err != nil {
-			return nil, fmt.Errorf("aliaslab: %w", err)
-		}
-		sp := p.span("solve-steensgaard")
-		res := steensgaard.Analyze(p.unit.Graph)
-		core.AttachEngine(sp, res.Engine)
-		return &Result{
-			prog: p, ci: res, sets: res.Sets, label: "steensgaard (unification-based)",
-			TransferFns: res.Metrics.FlowIns, MeetOps: res.Metrics.FlowOuts,
-			Engine: engineStats(res.Engine),
-		}, nil
+	if err := backend.ValidateWorklist(kind, cfg.Worklist); err != nil {
+		return nil, fmt.Errorf("aliaslab: %w", err)
 	}
-}
-
-// AnalyzeContextSensitive runs the maximally context-sensitive analysis
-// (paper Figure 5) with the §4.2 optimizations, then strips assumption
-// sets. maxSteps bounds the work (0 = unlimited); the analysis is
-// exponential in the worst case.
-func (p *Program) AnalyzeContextSensitive(maxSteps int) (*Result, error) {
-	return p.AnalyzeContextSensitiveWithEngine(maxSteps, Engine{})
-}
-
-// AnalyzeContextSensitiveWithEngine is AnalyzeContextSensitive on an
-// explicitly configured solver engine.
-func (p *Program) AnalyzeContextSensitiveWithEngine(maxSteps int, eng Engine) (*Result, error) {
-	strategy, err := eng.strategy()
+	strategy, err := solver.ParseStrategy(cfg.Worklist)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("aliaslab: %w", err)
 	}
-	sp := p.span("solve-ci")
-	ci := core.AnalyzeInsensitiveEngine(p.unit.Graph, limits.Budget{}, strategy)
-	core.AttachEngine(sp, ci.Engine)
-	sp = p.span("solve-cs")
-	cs := core.AnalyzeSensitive(p.unit.Graph, core.SensitiveOptions{CI: ci, MaxSteps: maxSteps, Strategy: strategy})
-	core.AttachEngine(sp, cs.Engine)
-	if cs.Aborted {
-		return nil, fmt.Errorf("aliaslab: context-sensitive analysis exceeded %d steps", maxSteps)
+	var budget limits.Budget // unlimited
+	if cfg.Limits != (Limits{}) || (ctx != nil && ctx.Done() != nil) {
+		var cancel context.CancelFunc
+		budget, cancel = cfg.Limits.budget(ctx)
+		defer cancel()
 	}
+	switch kind {
+	case backend.CI, backend.CS:
+		if !budget.Unlimited() {
+			return p.analyzeGoverned(kind, strategy, budget, cfg.Limits.WidenAssumptions)
+		}
+		sp := p.span("solve-ci")
+		ci := core.AnalyzeInsensitiveEngine(p.unit.Graph, budget, strategy)
+		core.AttachEngine(sp, ci.Engine)
+		if kind == backend.CI {
+			return ciResult(p, ci, "context-insensitive"), nil
+		}
+		sp = p.span("solve-cs")
+		cs := core.AnalyzeSensitive(p.unit.Graph, core.SensitiveOptions{CI: ci, Strategy: strategy})
+		core.AttachEngine(sp, cs.Engine)
+		return &Result{
+			prog: p, ci: ci, sets: cs.Strip(), label: "context-sensitive",
+			TransferFns: cs.Metrics.FlowIns, MeetOps: cs.Metrics.FlowOuts,
+			Engine: engineStats(cs.Engine),
+		}, nil
+	}
+	sp := p.span("solve-" + kind.String())
+	var r *core.Result
+	label := "andersen (inclusion-based)"
+	if kind == backend.Andersen {
+		r = andersen.AnalyzeEngine(p.unit.Graph, budget, strategy)
+	} else {
+		r = steensgaard.AnalyzeBudgeted(p.unit.Graph, budget)
+		label = "steensgaard (unification-based)"
+	}
+	core.AttachEngine(sp, r.Engine)
+	res := ciResult(p, r, label)
+	if r.Stopped == nil {
+		return res, nil
+	}
+	res.Degraded = true
+	res.notes = []string{fmt.Sprintf("%s solve stopped: %v", kind, r.Stopped)}
+	res.label += " (degraded: partial)"
+	return res, fmt.Errorf("aliaslab: %s analysis stopped early (%v); partial result is not sound", kind, r.Stopped)
+}
+
+// ciResult adapts a CI-shaped solution to the public Result shape.
+func ciResult(p *Program, res *core.Result, label string) *Result {
 	return &Result{
-		prog: p, ci: ci, sets: cs.Strip(), label: "context-sensitive",
-		TransferFns: cs.Metrics.FlowIns, MeetOps: cs.Metrics.FlowOuts,
-		Engine: engineStats(cs.Engine),
-	}, nil
-}
-
-// AnalyzeLimited runs the context-insensitive analysis under a
-// resource budget. If the budget trips mid-fixpoint the partial result
-// comes back with Degraded set AND a non-nil error: a stopped
-// context-insensitive solution under-approximates and must not be
-// used as a may-alias answer.
-func (p *Program) AnalyzeLimited(ctx context.Context, lim Limits) (*Result, error) {
-	budget, cancel := lim.budget(ctx)
-	defer cancel()
-	sp := p.span("solve")
-	gr := core.AnalyzeGoverned(p.unit.Graph, core.GovernedOptions{Budget: budget, Span: sp})
-	sp.End()
-	res := resultFromGoverned(p, gr, "context-insensitive")
-	if gr.Tier == core.TierPartialCI {
-		return res, fmt.Errorf("aliaslab: context-insensitive analysis stopped early (%v); partial result is not sound", gr.Stopped)
+		prog: p, ci: res, sets: res.Sets, label: label,
+		TransferFns: res.Metrics.FlowIns, MeetOps: res.Metrics.FlowOuts,
+		Engine: engineStats(res.Engine),
 	}
-	return res, nil
 }
 
-// AnalyzeContextSensitiveLimited runs the context-sensitive analysis
-// under a resource budget with graceful degradation: exact CS first,
-// then CS with assumption-set widening, then the context-insensitive
-// result. All three tiers are sound over-approximations; Degraded and
-// Notes on the Result say which one answered. The error is non-nil
-// only when even the context-insensitive fallback could not finish
-// (its partial, unsound state is still returned for inspection).
-func (p *Program) AnalyzeContextSensitiveLimited(ctx context.Context, lim Limits) (*Result, error) {
-	budget, cancel := lim.budget(ctx)
-	defer cancel()
+// analyzeGoverned runs ci or cs through the degradation ladder.
+func (p *Program) analyzeGoverned(kind backend.Kind, strategy solver.Strategy, budget limits.Budget, widen int) (*Result, error) {
 	sp := p.span("solve")
 	gr := core.AnalyzeGoverned(p.unit.Graph, core.GovernedOptions{
 		Budget:           budget,
-		Sensitive:        true,
-		WidenAssumptions: lim.WidenAssumptions,
+		Sensitive:        kind == backend.CS,
+		WidenAssumptions: widen,
+		Strategy:         strategy,
 		Span:             sp,
 	})
 	sp.End()
-	res := resultFromGoverned(p, gr, "context-sensitive")
+	requested := "context-insensitive"
+	if kind == backend.CS {
+		requested = "context-sensitive"
+	}
+	res := resultFromGoverned(p, gr, requested)
 	if gr.Tier == core.TierPartialCI {
 		return res, fmt.Errorf("aliaslab: analysis stopped early (%v); partial result is not sound", gr.Stopped)
 	}
@@ -420,16 +381,6 @@ func resultFromGoverned(p *Program, gr *core.GovernedResult, requested string) *
 		res.label = fmt.Sprintf("%s (degraded: %s)", requested, gr.Tier)
 	}
 	return res
-}
-
-// AnalyzeBaseline runs the Weihl-style program-wide, flow-insensitive
-// baseline the pre-1990 literature used.
-func (p *Program) AnalyzeBaseline() (*Result, error) {
-	b := baseline.Analyze(p.unit.Graph)
-	return &Result{
-		prog: p, sets: b.Sets(), label: "program-wide baseline",
-		TransferFns: b.Metrics.FlowIns, MeetOps: b.Metrics.FlowOuts,
-	}, nil
 }
 
 // Label names the analysis that produced this result.
@@ -491,16 +442,10 @@ func (r *Result) IndirectOps() []IndirectOp {
 }
 
 // ModRef reports, per function, the locations it (transitively) may
-// modify and reference, each list sorted by location name. Available
-// on results that ran the context-insensitive pre-pass (Analyze,
-// AnalyzeContextSensitive, and AnalyzeIncremental). The name sort
-// makes the lists a pure function of the analysis answer — in
-// particular, identical between the exhaustive and the modular solve,
-// whose internal path-interning orders differ.
+// modify and reference, each list sorted by location name. The name
+// sort makes the lists a pure function of the analysis answer,
+// independent of the solver's path-interning order.
 func (r *Result) ModRef() (mod, ref map[string][]string, err error) {
-	if r.ci == nil {
-		return nil, nil, fmt.Errorf("aliaslab: ModRef requires a context-insensitive result")
-	}
 	info := modref.Compute(r.ci)
 	mod = make(map[string][]string)
 	ref = make(map[string][]string)
@@ -521,12 +466,7 @@ func (r *Result) ModRef() (mod, ref map[string][]string, err error) {
 }
 
 // CallGraph reports discovered call edges as caller -> callee names.
-// Available on results that ran the context-insensitive pre-pass
-// (Analyze and AnalyzeContextSensitive).
 func (r *Result) CallGraph() (map[string][]string, error) {
-	if r.ci == nil {
-		return nil, fmt.Errorf("aliaslab: CallGraph requires a context-insensitive result")
-	}
 	out := make(map[string][]string)
 	for _, fg := range r.prog.unit.Graph.Funcs {
 		for _, call := range fg.Calls {

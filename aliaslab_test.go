@@ -1,6 +1,7 @@
 package aliaslab_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestFacadePipeline(t *testing.T) {
 		t.Fatalf("sizes: %d %d %d", lines, nodes, aliasOuts)
 	}
 
-	res, err := prog.Analyze()
+	res, err := prog.Analyze(context.Background(), aliaslab.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestFacadeSensitivityComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := prog.Analyze()
+	ci, err := prog.Analyze(context.Background(), aliaslab.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := prog.AnalyzeContextSensitive(1_000_000)
+	cs, err := prog.Analyze(context.Background(), aliaslab.Config{Backend: "cs"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,18 +104,19 @@ func TestFacadeSensitivityComparison(t *testing.T) {
 	}
 }
 
+// TestFacadeBaselineIsCoarsest: the Weihl-style program-wide baseline,
+// computed by the Andersen backend, is never more precise than CI at
+// indirect operations.
 func TestFacadeBaselineIsCoarsest(t *testing.T) {
 	prog, err := aliaslab.ParseProgram("demo.c", demo, aliaslab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, _ := prog.Analyze()
-	bl, err := prog.AnalyzeBaseline()
+	ci, _ := prog.Analyze(context.Background(), aliaslab.Config{})
+	bl, err := prog.Analyze(context.Background(), aliaslab.Config{Backend: "andersen"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The flow-insensitive baseline must not be more precise than CI at
-	// indirect operations.
 	ciOps := ci.IndirectOps()
 	blOps := bl.IndirectOps()
 	if len(ciOps) != len(blOps) {
@@ -132,7 +134,7 @@ func TestFacadeModRefAndCallGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := prog.Analyze()
+	res, _ := prog.Analyze(context.Background(), aliaslab.Config{})
 	mod, _, err := res.ModRef()
 	if err != nil {
 		t.Fatal(err)
@@ -151,24 +153,12 @@ func TestFacadeModRefAndCallGraph(t *testing.T) {
 
 	// Context-sensitive results keep the CI pre-pass, so the clients
 	// remain available.
-	cs, err := prog.AnalyzeContextSensitive(1_000_000)
+	cs, err := prog.Analyze(context.Background(), aliaslab.Config{Backend: "cs"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := cs.ModRef(); err != nil {
 		t.Errorf("ModRef on a CS result: %v", err)
-	}
-
-	// The baseline never runs the CI pre-pass.
-	bl, err := prog.AnalyzeBaseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := bl.ModRef(); err == nil {
-		t.Error("ModRef on the baseline result must error")
-	}
-	if _, err := bl.CallGraph(); err == nil {
-		t.Error("CallGraph on the baseline result must error")
 	}
 }
 
@@ -181,7 +171,7 @@ func TestFacadeBenchmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Analyze()
+	res, err := prog.Analyze(context.Background(), aliaslab.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +233,7 @@ int main(void) {
 
 	// The vet rebuild must not perturb the paper's analysis results on
 	// the original program.
-	res, err := prog.Analyze()
+	res, err := prog.Analyze(context.Background(), aliaslab.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +250,45 @@ func TestFacadeCheckers(t *testing.T) {
 		if _, ok := ids[want]; !ok {
 			t.Errorf("checker %q missing from Checkers()", want)
 		}
+	}
+}
+
+// TestAnalyzeConfig pins the one analysis entry point: each backend
+// answers under its own label, worklist names are validated per
+// backend, and a stopped constraint-backend solve is degraded AND an
+// error.
+func TestAnalyzeConfig(t *testing.T) {
+	prog, err := aliaslab.ParseProgram("demo.c", demo, aliaslab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct{ backend, worklist, label string }{
+		{"", "", "context-insensitive"},
+		{"ci", "lifo", "context-insensitive"},
+		{"cs", "fifo", "context-sensitive"},
+		{"andersen", "lifo", "andersen (inclusion-based)"},
+		{"steensgaard", "", "steensgaard (unification-based)"},
+	} {
+		res, err := prog.Analyze(ctx, aliaslab.Config{Backend: c.backend, Worklist: c.worklist})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.backend, c.worklist, err)
+		}
+		if res.Label() != c.label || res.Degraded {
+			t.Errorf("%s/%s: label %q degraded %v, want %q", c.backend, c.worklist, res.Label(), res.Degraded, c.label)
+		}
+	}
+	for _, bad := range []aliaslab.Config{
+		{Worklist: "priority"},
+		{Backend: "steensgaard", Worklist: "fifo"},
+		{Backend: "weihl"},
+	} {
+		if _, err := prog.Analyze(ctx, bad); err == nil {
+			t.Errorf("%+v: want an error", bad)
+		}
+	}
+	res, err := prog.Analyze(ctx, aliaslab.Config{Backend: "andersen", Limits: aliaslab.Limits{MaxSteps: 1}})
+	if err == nil || res == nil || !res.Degraded || len(res.Notes()) == 0 {
+		t.Fatalf("stopped andersen solve: res %v, err %v; want a degraded partial result and an error", res, err)
 	}
 }

@@ -9,9 +9,10 @@
 //	aliaslab -vet file.c             # run the pointer-bug checkers
 //	aliaslab -query 'mayalias(p,q)' file.c   # demand-driven queries
 //
-// Flags select the analysis (-analysis ci|cs|baseline, or -backend
-// ci|cs|andersen|steensgaard to pick a point on the four-way
-// precision/cost frontier), what to print (-print
+// Flags select the analysis (-analysis ci|cs|baseline, where baseline
+// is Weihl's program-wide analysis as computed by the Andersen backend,
+// or -backend ci|cs|andersen|steensgaard to pick a point on the
+// four-way precision/cost frontier), what to print (-print
 // pointsto|indirect|modref|callgraph|sizes|json), ablations, and the
 // checker mode (-vet, filtered with -checkers and rendered per
 // -format). -query answers ';'-separated mayalias/pointsto queries by
@@ -19,7 +20,7 @@
 // expressions instead of the whole-program fixpoint (same -format
 // text|json switch; answers are byte-identical to the exhaustive
 // solve's). The solver's worklist discipline is swappable (-worklist
-// fifo|lifo|priority — every strategy reaches the same fixpoint;
+// fifo|lifo — both reach the same fixpoint;
 // steensgaard has no worklist and rejects the flag) and -stats prints
 // the engine's work counters on stderr.
 //
@@ -51,7 +52,6 @@ import (
 	"aliaslab/internal/backend"
 	"aliaslab/internal/backend/andersen"
 	"aliaslab/internal/backend/steensgaard"
-	"aliaslab/internal/baseline"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
@@ -64,7 +64,6 @@ import (
 	"aliaslab/internal/sched"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
-	"aliaslab/internal/summary"
 	"aliaslab/internal/vdg"
 )
 
@@ -86,12 +85,6 @@ type config struct {
 	strategy solver.Strategy
 	stats    bool
 
-	// modular solves the ci analysis bottom-up from per-procedure
-	// summaries; summaries is the cache shared across a multi-file
-	// batch (nil runs the pure per-procedure-parallel solve).
-	modular   bool
-	summaries *summary.Cache
-
 	// span is the unit's trace span (nil when untraced); analyzeUnit
 	// records its solve/checkers/report phases as children.
 	span *obs.Span
@@ -102,7 +95,7 @@ type config struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aliaslab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	analysis := fs.String("analysis", "ci", "analysis to run: ci, cs, or baseline")
+	analysis := fs.String("analysis", "ci", "analysis to run: ci, cs, or baseline (the Andersen backend)")
 	backendFlag := fs.String("backend", "", "points-to backend: ci (default), cs, andersen, or steensgaard")
 	print_ := fs.String("print", "indirect", "what to print: pointsto, indirect, modref, callgraph, sizes, json, dot")
 	fn := fs.String("fn", "main", "function to render with -print dot")
@@ -116,8 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&maxSteps, "maxsteps", 50_000_000, "alias for -max-steps")
 	maxPairs := fs.Int("max-pairs", 0, "cap on materialized points-to pairs per attempt (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole analysis, e.g. 30s (0 = none)")
-	worklist := fs.String("worklist", "", "solver worklist strategy: fifo (default), lifo, or priority")
-	modular := fs.Bool("modular", false, "solve the ci analysis bottom-up from per-procedure summaries (identical answer; procedures reused across a multi-file batch)")
+	worklist := fs.String("worklist", "", "solver worklist strategy: fifo (default) or lifo")
 	statsFlag := fs.Bool("stats", false, "print solver engine counters to stderr after each analysis")
 	vet := fs.Bool("vet", false, "run the pointer-bug checkers instead of printing analysis results")
 	checkersFlag := fs.String("checkers", "", "comma-separated checker IDs for -vet (default: all; see -vet -checkers help)")
@@ -135,6 +127,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "aliaslab:", err)
 		return 2
+	}
+
+	// Weihl's program-wide baseline computes exactly the Andersen
+	// backend's pair sets on plain builds; -vet keeps refusing it.
+	if *analysis == "baseline" && !*vet {
+		*analysis = "andersen"
 	}
 
 	// -backend is the frontier-wide selector; it resolves onto the same
@@ -169,33 +167,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Demand queries solve the ci analysis on a slice; mixing them with
-	// another backend, the checkers, or the modular mode would promise a
-	// result the query engine does not compute.
+	// another backend or the checkers would promise a result the query
+	// engine does not compute.
 	if *queryFlag != "" {
 		if *analysis != "ci" {
 			fmt.Fprintf(stderr, "aliaslab: -query answers on the ci analysis, not %s\n", *analysis)
 			return 2
 		}
-		if *vet || *modular {
-			fmt.Fprintln(stderr, "aliaslab: -query does not combine with -vet or -modular")
+		if *vet {
+			fmt.Fprintln(stderr, "aliaslab: -query does not combine with -vet")
 			return 2
 		}
 		if _, err := query.ParseAll(*queryFlag); err != nil {
 			fmt.Fprintln(stderr, "aliaslab:", err)
-			return 2
-		}
-	}
-
-	// Modular solving is a ci-only refinement, and the CLI's vet path
-	// keeps the plain exhaustive solve (the daemon's vet accepts the
-	// "modular" request field for callers that want both).
-	if *modular {
-		if *analysis != "ci" {
-			fmt.Fprintf(stderr, "aliaslab: -modular solves the ci analysis, not %s\n", *analysis)
-			return 2
-		}
-		if *vet {
-			fmt.Fprintln(stderr, "aliaslab: -modular does not combine with -vet")
 			return 2
 		}
 	}
@@ -253,13 +237,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		budget:   budget,
 		strategy: strategy,
 		stats:    *statsFlag,
-		modular:  *modular,
-	}
-	if *modular {
-		// One cache for the whole invocation: in multi-file mode the
-		// units share it, so a procedure solved for one file is free for
-		// every identical body later in the batch.
-		cfg.summaries = summary.NewCache(0, nil)
 	}
 
 	code := func() int {
@@ -401,31 +378,6 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	unsound := false
 	switch cfg.analysis {
 	case "ci", "cs":
-		if cfg.modular {
-			// Bottom-up solve from per-procedure summaries. The label is
-			// the exhaustive one on purpose: the pair sets are identical
-			// (oracle-enforced), so the rendering must not differ either.
-			sp := cfg.span.Child("solve-ci-modular")
-			mo := core.ModularOptions{Budget: cfg.budget, Strategy: cfg.strategy}
-			if cfg.summaries != nil {
-				mo.Cache = cfg.summaries
-			}
-			res, mst := core.AnalyzeModular(u.Graph, mo)
-			core.AttachEngine(sp, res.Engine)
-			sp.End()
-			ci, sets = res, res.Sets
-			label = "context-insensitive"
-			if cfg.stats {
-				printEngineStats(stderr, "ci", res.Engine)
-				fmt.Fprintf(stderr, "aliaslab: modular: %d procedures, %d reused, %d solved, %d rounds, %d restarts\n",
-					mst.Procedures, mst.Reused(), mst.Misses+mst.Forced, mst.Rounds, mst.Restarts)
-			}
-			if res.Stopped != nil {
-				unsound = true
-				fmt.Fprintf(stderr, "aliaslab: warning: modular solve stopped early (%v); the partial result under-approximates and is NOT a sound may-alias answer\n", res.Stopped)
-			}
-			break
-		}
 		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
 			Budget:    cfg.budget,
 			Sensitive: cfg.analysis == "cs",
@@ -473,17 +425,6 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 			unsound = true
 			fmt.Fprintf(stderr, "aliaslab: warning: %s solve stopped early (%v); the partial result under-approximates and is NOT a sound may-alias answer\n", cfg.analysis, res.Stopped)
 		}
-	case "baseline":
-		sp := cfg.span.Child("solve-ci")
-		ci = core.AnalyzeInsensitiveEngine(u.Graph, limits.Budget{}, cfg.strategy)
-		core.AttachEngine(sp, ci.Engine)
-		sp = cfg.span.Child("solve-baseline")
-		sets = baseline.Analyze(u.Graph).Sets()
-		sp.End()
-		label = "program-wide (Weihl baseline)"
-		if cfg.stats {
-			printEngineStats(stderr, "ci", ci.Engine)
-		}
 	default:
 		fmt.Fprintln(stderr, "aliaslab: unknown analysis", cfg.analysis)
 		return 2
@@ -506,9 +447,9 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 			return 1
 		}
 	case "modref":
-		printModRef(stdout, u, ci, cfg.modular)
+		printModRef(stdout, u, ci)
 	case "callgraph":
-		printCallGraph(stdout, u, ci, cfg.modular)
+		printCallGraph(stdout, u, ci)
 	case "dot":
 		fg := u.Graph.FuncOf[u.Prog.FuncMap[cfg.fn]]
 		if fg == nil {
@@ -547,8 +488,9 @@ func runVet(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	}
 	// The checkers interpret any CI-shaped points-to solution, so the
 	// flow-insensitive backends plug straight in (coarser referent sets
-	// mean more may-findings, never fewer). The context-sensitive and
-	// baseline results lack the call-graph shape vet needs.
+	// mean more may-findings, never fewer). The context-sensitive
+	// result lacks the call-graph shape vet needs, and the baseline is
+	// Andersen only on plain builds, not on vet's diagnostics builds.
 	var res *core.Result
 	statsName := cfg.analysis
 	switch cfg.analysis {
@@ -801,13 +743,9 @@ func printJSON(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairSet, 
 	return enc.Encode(out)
 }
 
-// printModRef renders the transitive mod/ref sets per function. The
-// lexical flag (set under -modular) orders each list by location name
-// instead of the solver's path-intern order: the modular solve interns
-// paths in a different order than the exhaustive one, so only the
-// name-sorted rendering is deterministic there. The default rendering
-// is pinned by golden files and must keep its historical order.
-func printModRef(w io.Writer, u *driver.Unit, ci *core.Result, lexical bool) {
+// printModRef renders the transitive mod/ref sets per function, each
+// list in the solver's path-intern order (pinned by golden files).
+func printModRef(w io.Writer, u *driver.Unit, ci *core.Result) {
 	info := modref.Compute(ci)
 	for _, fg := range u.Graph.Funcs {
 		if fg.Fn.Body == nil {
@@ -821,26 +759,18 @@ func printModRef(w io.Writer, u *driver.Unit, ci *core.Result, lexical bool) {
 		for _, p := range info.Ref[fg].Sorted() {
 			refs = append(refs, p.String())
 		}
-		if lexical {
-			sort.Strings(mods)
-			sort.Strings(refs)
-		}
 		fmt.Fprintf(w, "  mod: %v\n", mods)
 		fmt.Fprintf(w, "  ref: %v\n", refs)
 	}
 }
 
 // printCallGraph renders discovered call edges and the §5.1.2 stats.
-// lexical sorts each call's callee names (see printModRef).
-func printCallGraph(w io.Writer, u *driver.Unit, ci *core.Result, lexical bool) {
+func printCallGraph(w io.Writer, u *driver.Unit, ci *core.Result) {
 	for _, fg := range u.Graph.Funcs {
 		for _, call := range fg.Calls {
 			var names []string
 			for _, callee := range ci.Callees[call] {
 				names = append(names, callee.Fn.Name)
-			}
-			if lexical {
-				sort.Strings(names)
 			}
 			fmt.Fprintf(w, "  %s at %s -> %v\n", fg.Fn.Name, call.Pos, names)
 		}

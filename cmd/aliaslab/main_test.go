@@ -237,6 +237,24 @@ func TestBackendErrors(t *testing.T) {
 		!strings.Contains(stderr, "-vet runs on the ci, andersen, or steensgaard backend") {
 		t.Errorf("cs vet: exit %d, stderr %q", code, stderr)
 	}
+	if _, stderr, code := runCLI(t, "-corpus", "part", "-worklist", "priority"); code != 2 ||
+		!strings.Contains(stderr, `unknown worklist strategy "priority"`) {
+		t.Errorf("priority worklist: exit %d, stderr %q", code, stderr)
+	}
+	if _, stderr, code := runCLI(t, "-corpus", "part", "-analysis", "baseline", "-vet"); code != 2 ||
+		!strings.Contains(stderr, "not baseline") {
+		t.Errorf("baseline vet: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// -analysis baseline is another name for the Andersen backend: same
+// bytes as -backend andersen.
+func TestBaselineIsAndersen(t *testing.T) {
+	bl, _, code := runCLI(t, "-corpus", "part", "-analysis", "baseline", "-print", "json")
+	and, _, _ := runCLI(t, "-corpus", "part", "-backend", "andersen", "-print", "json")
+	if code != 0 || bl != and {
+		t.Errorf("-analysis baseline (exit %d) differs from -backend andersen:\n%s\nvs\n%s", code, bl, and)
+	}
 }
 
 // writeTempN writes n distinguishable single-finding programs and

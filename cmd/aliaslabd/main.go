@@ -6,8 +6,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/analyze   {"source"|"corpus", "backend", "worklist", "modular"}
-//	POST /v1/vet       {"source"|"corpus", "backend", "checkers", "modular"}
+//	POST /v1/analyze   {"source"|"corpus", "backend", "worklist"}
+//	POST /v1/vet       {"source"|"corpus", "backend", "checkers"}
 //	GET  /v1/corpus    list the embedded benchmark programs
 //	GET  /healthz      liveness
 //	GET  /readyz       readiness (503 once draining)
@@ -20,12 +20,6 @@
 // full answer, 206 sound degraded answer (machine-readable envelope in
 // the body), 429 over capacity (with Retry-After), 500 isolated
 // internal error, 503 budget blown mid-flight.
-//
-// Requests that set "modular": true (ci backend only) solve bottom-up
-// from per-procedure summaries and share a process-lifetime summary
-// cache, so re-submitting an edited source re-solves only the
-// procedures the edit touched. -incremental=false disables that cache;
-// the answers are identical either way.
 //
 // SIGTERM or SIGINT drains: /readyz flips to 503, in-flight requests
 // finish (up to -drain-timeout), then the process exits 0.
@@ -68,8 +62,6 @@ func run(args []string, stderr io.Writer) int {
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "ceiling on the per-request wall-clock budget")
 	defaultTimeout := fs.Duration("default-timeout", 10*time.Second, "wall-clock budget when the request sends none")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on shutdown")
-	incremental := fs.Bool("incremental", true, "share a per-procedure summary cache across modular requests")
-	summaryRecords := fs.Int("summary-records", 0, "summary cache capacity in records (0 = default bound; ignored with -incremental=false)")
 	faultSpec := fs.String("faults", os.Getenv("ALIASLAB_FAULTS"), "fault-injection spec for chaos testing (default $ALIASLAB_FAULTS)")
 	faultSeed := fs.Int64("faults-seed", 0, "deterministic phase rotation for -faults rules")
 	if err := fs.Parse(args); err != nil {
@@ -89,10 +81,6 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "aliaslabd: fault injection ARMED at stages %v — not for production\n", inj.Stages())
 	}
 
-	records := *summaryRecords
-	if !*incremental {
-		records = -1
-	}
 	srv := server.New(server.Config{
 		MaxConcurrent:  *maxConcurrent,
 		CacheEntries:   *cacheEntries,
@@ -101,7 +89,6 @@ func run(args []string, stderr io.Writer) int {
 		MaxPairs:       *maxPairs,
 		MaxTimeout:     *maxTimeout,
 		DefaultTimeout: *defaultTimeout,
-		SummaryRecords: records,
 		Faults:         inj,
 	})
 

@@ -13,7 +13,9 @@
 // a pure function of (-seed, -n): byte-identical on any machine, at any
 // -jobs width. -check runs every theorem invariant (CS ⊆ CI ⊆ Andersen
 // ⊆ Steensgaard, the widening lattice, governed-full, worklist-strategy
-// confluence) on every generated unit, plus a batch-determinism probe
+// confluence) on every generated unit, solves the unit's diagnostics
+// build (the -vet path) under corpusgen.VetSteps — a stopped solve
+// counts as a violation — plus a batch-determinism probe
 // (the population JSON at -jobs 1 versus the requested width); a
 // failing unit is greedily shrunk to a minimal reproducer, written as
 // both a .c file and a Go fuzz corpus entry, and flips the exit status
@@ -43,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 42, "population seed")
 	jobs := fs.Int("jobs", 0, "workers for generation and checking (0 = GOMAXPROCS)")
 	dir := fs.String("dir", "", "write one <unit>.c file per program into this directory instead of streaming")
-	check := fs.Bool("check", false, "run the full oracle lattice on every generated unit")
+	check := fs.Bool("check", false, "run the full oracle lattice and a vet-budget diagnostics solve on every generated unit")
 	out := fs.String("out", "", "with -check: write shrunk reproducers of failing units into this directory")
 	minimize := fs.Bool("minimize", false, "with -dir: shrink each program to its minimal still-loading core before writing")
 	if err := fs.Parse(args); err != nil {

@@ -9,10 +9,9 @@
 //	experiments -json        # machine-readable summary (deterministic)
 //	experiments -jobs 8      # analyze corpus units on 8 workers
 //	experiments -timing      # per-unit wall times + parallel speedup
-//	experiments -worklist lifo   # solver worklist: fifo (default), lifo, priority
+//	experiments -worklist lifo   # solver worklist: fifo (default) or lifo
 //	experiments -backend frontier    # four-way precision/cost frontier table
 //	experiments -backend andersen    # also solve each unit with one constraint backend
-//	experiments -modular     # bottom-up summary solve per unit + warm-reuse table
 //	experiments -queries     # demand-query sweep per unit + demand-vs-exhaustive table
 //	experiments -stats       # append solver engine counters (or embed in -json)
 //	experiments -metrics     # collect batch metrics (table, or embed in -json)
@@ -58,9 +57,8 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "render the machine-readable JSON summary instead of figures")
 	jobs := flag.Int("jobs", 0, "corpus units analyzed concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	timing := flag.Bool("timing", false, "append per-unit wall times and the aggregate parallel speedup")
-	worklist := flag.String("worklist", "", "solver worklist strategy: fifo (default), lifo, or priority")
+	worklist := flag.String("worklist", "", "solver worklist strategy: fifo (default) or lifo")
 	backendFlag := flag.String("backend", "", "run a constraint backend per unit (andersen, steensgaard) or render the four-way frontier table (frontier)")
-	modular := flag.Bool("modular", false, "also solve each unit bottom-up from per-procedure summaries, oracle-checked against the exhaustive answer; appends the warm-reuse table (embedded in the summary with -json)")
 	queries := flag.Bool("queries", false, "also sweep each unit's variables through the demand-driven query engine, cross-checked against the exhaustive answer; appends the demand-vs-exhaustive table")
 	statsOut := flag.Bool("stats", false, "append the solver engine counters (embedded in the summary with -json)")
 	metricsOut := flag.Bool("metrics", false, "collect batch metrics: table on stdout, or the deterministic subset embedded in the -json summary")
@@ -171,7 +169,7 @@ func run() int {
 	t0 := time.Now()
 	rs, err := experiments.RunBatch(corpus.Names(), experiments.BatchOptions{
 		WithCS: needCS, Opts: opts, Jobs: *jobs, Strategy: strategy,
-		Trace: tr, Metrics: reg, Backend: backendKind, Modular: *modular, Queries: *queries,
+		Trace: tr, Metrics: reg, Backend: backendKind, Queries: *queries,
 	})
 	wall := time.Since(t0)
 	if err != nil {
@@ -215,10 +213,6 @@ func run() int {
 		return 2
 	default:
 		experiments.WriteAll(w, rs)
-	}
-	if *modular && !*jsonOut {
-		fmt.Fprintln(w)
-		experiments.Incremental(w, rs)
 	}
 	if *queries && !*jsonOut {
 		fmt.Fprintln(w)

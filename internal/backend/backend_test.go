@@ -227,3 +227,116 @@ func TestValidateWorklist(t *testing.T) {
 		}
 	}
 }
+
+// The Andersen backend is the Weihl-style program-wide baseline
+// (`-analysis baseline`): one global store, no kills, flow-insensitive.
+// The tests below pin those properties directly.
+
+func loadSrc(t *testing.T, src string) *driver.Unit {
+	t.Helper()
+	u, err := driver.LoadString("t.c", src, vdg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// TestAndersenNoKills: a pointer reassignment keeps both targets in
+// the program-wide store — unlike CI, which strongly updates.
+func TestAndersenNoKills(t *testing.T) {
+	u := loadSrc(t, `
+int a, b;
+int *p;
+int main(void) {
+	p = &a;
+	p = &b;
+	return *p;
+}
+`)
+	targets := func(set *core.PairSet) []string {
+		var refs []string
+		for _, pr := range set.Sorted() {
+			if base := pr.Path.Base(); base != nil && base.Name == "p" {
+				refs = append(refs, pr.Ref.String())
+			}
+		}
+		return refs
+	}
+	exit := u.Graph.Entry.ReturnStore()
+	if got := strings.Join(targets(andersen.Analyze(u.Graph).Pairs(exit)), ","); got != "a,b" {
+		t.Fatalf("andersen p -> %v, want both targets (no kills)", got)
+	}
+	if got := targets(core.AnalyzeInsensitive(u.Graph).Pairs(exit)); len(got) != 1 {
+		t.Fatalf("CI keeps targets %v for p, want 1", got)
+	}
+}
+
+// TestAndersenFlowInsensitivity: a pair that holds anywhere holds
+// everywhere — the read before the assignment still sees it.
+func TestAndersenFlowInsensitivity(t *testing.T) {
+	u := loadSrc(t, `
+int a;
+int *p;
+int use(void) { return *p; }
+int main(void) {
+	int x;
+	x = use();
+	p = &a;
+	return x + use();
+}
+`)
+	res := andersen.Analyze(u.Graph)
+	for _, n := range u.Graph.FuncOf[u.Graph.Prog.FuncMap["use"]].Nodes {
+		if n.Kind == vdg.KLookup && n.Indirect {
+			for _, r := range res.Pairs(n.Loc()).Referents() {
+				if r.String() == "a" {
+					return
+				}
+			}
+		}
+	}
+	t.Fatal("program-wide store must expose p -> a to every read")
+}
+
+// TestAndersenCallGraphDiscovery: function pointers resolve through
+// the global value sets; with no kills both assignments stay live.
+func TestAndersenCallGraphDiscovery(t *testing.T) {
+	u := loadSrc(t, `
+int one(void) { return 1; }
+int two(void) { return 2; }
+int (*fp)(void);
+int main(void) {
+	fp = one;
+	fp = two;
+	return fp();
+}
+`)
+	total := 0
+	for _, callees := range andersen.Analyze(u.Graph).Callees {
+		total += len(callees)
+	}
+	if total != 2 {
+		t.Fatalf("discovered %d callees, want 2 (no kills: both assignments live)", total)
+	}
+}
+
+// TestAndersenSharesGlobalStore: every store output maps to the one
+// global store set.
+func TestAndersenSharesGlobalStore(t *testing.T) {
+	u := loadSrc(t, `int a; int *p; int main(void) { p = &a; return *p; }`)
+	res := andersen.Analyze(u.Graph)
+	var stores []*core.PairSet
+	u.Graph.Outputs(func(o *vdg.Output) {
+		if o.IsStore {
+			stores = append(stores, res.Sets[o])
+		}
+	})
+	if len(stores) < 2 || stores[0] == nil {
+		t.Fatalf("want a non-empty store on at least two store outputs, got %d", len(stores))
+	}
+	for _, s := range stores {
+		if s != stores[0] {
+			t.Fatal("store outputs must share the single global set")
+		}
+	}
+}

@@ -15,11 +15,12 @@ type CellID = int32
 
 // StoreCell is the constraint variable holding the flow-insensitive
 // store: all store outputs of the VDG map to this one cell, which is
-// exactly the "one global store, no kills" abstraction of the Weihl
-// baseline. Collapsing the store this way is what makes the extracted
-// system flow-insensitive — the CI analysis's per-program-point store
-// values all become lower bounds on the same variable, so the least
-// solution is a pointwise superset of the CI fixpoint.
+// exactly the "one global store, no kills" abstraction of Weihl's
+// program-wide analysis. Collapsing the store this way is what makes
+// the extracted system flow-insensitive — the CI analysis's
+// per-program-point store values all become lower bounds on the same
+// variable, so the least solution is a pointwise superset of the CI
+// fixpoint.
 const StoreCell CellID = 0
 
 // Seed asserts an unconditional lower bound: pair ∈ cell. Emitted for
@@ -132,9 +133,6 @@ type Constraints struct {
 	// CellOf maps every VDG output to its cell; all store outputs map
 	// to StoreCell.
 	CellOf map[*vdg.Output]CellID
-	// OutOf maps each non-store cell back to its output (index 0, the
-	// store cell, is nil). Used for priority scheduling and debugging.
-	OutOf []*vdg.Output
 
 	Seeds  []Seed
 	Copies []Copy
@@ -155,19 +153,18 @@ func (c *Constraints) Count() int {
 // deterministic.
 func Extract(g *vdg.Graph) *Constraints {
 	c := &Constraints{
-		Graph:  g,
-		CellOf: make(map[*vdg.Output]CellID),
-		OutOf:  []*vdg.Output{nil}, // cell 0: the store
+		Graph:    g,
+		CellOf:   make(map[*vdg.Output]CellID),
+		NumCells: 1, // cell 0: the store
 	}
 	g.Outputs(func(o *vdg.Output) {
 		if o.IsStore {
 			c.CellOf[o] = StoreCell
 			return
 		}
-		c.CellOf[o] = CellID(len(c.OutOf))
-		c.OutOf = append(c.OutOf, o)
+		c.CellOf[o] = CellID(c.NumCells)
+		c.NumCells++
 	})
-	c.NumCells = len(c.OutOf)
 
 	for _, fg := range g.Funcs {
 		for _, n := range fg.Nodes {

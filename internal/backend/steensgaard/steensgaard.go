@@ -12,7 +12,8 @@
 //
 // Treating a subset constraint as an equality adds the reverse
 // inclusion to the system, and unification cannot honor the checked
-// (guard-refinement) filter, which drops it. Both changes only enlarge
+// (guard-refinement) filter, which drops it (the diagnostics marker
+// constants are the one exception; see unify). Both changes only enlarge
 // the constraint system, so by Tarski the least solution is a pointwise
 // superset of Andersen's — the cheapest and least precise point of the
 // repository's four-backend frontier, which the oracle asserts as
@@ -40,14 +41,20 @@ func Analyze(g *vdg.Graph) *core.Result {
 // reject -worklist for this backend rather than silently ignoring it.
 func AnalyzeBudgeted(g *vdg.Graph, budget limits.Budget) *core.Result {
 	cons := backend.Extract(g)
-	s := &analysis{sys: backend.NewSystem(cons, budget, solver.FIFO)}
+	s := &analysis{sys: backend.NewSystem(cons, budget, solver.FIFO), marker: make(map[backend.CellID]core.Pair)}
 	s.sys.OnCallee = s.onCallee
+	for _, sd := range cons.Seeds {
+		if core.IsMarkerRef(sd.Pair.Ref) {
+			s.marker[sd.Cell] = sd.Pair
+		}
+	}
 
 	// The single unification pass: every static copy, checked or not,
-	// merges its endpoints. Sets are still empty here, so each union is
-	// a pure pointer operation.
+	// merges its endpoints (marker constants aside; see unify). Sets
+	// hold at most marker pairs here, so each union is nearly a pure
+	// pointer operation.
 	for _, cp := range cons.Copies {
-		s.unify(cp.Src, cp.Dst)
+		s.unify(cp.Src, cp.Dst, cp.Checked)
 	}
 
 	s.sys.Seed()
@@ -59,9 +66,31 @@ func AnalyzeBudgeted(g *vdg.Graph, budget limits.Budget) *core.Result {
 
 type analysis struct {
 	sys *backend.System
+
+	// marker maps the cell of each diagnostics marker constant
+	// (<null>, <uninit>) to its seed pair.
+	marker map[backend.CellID]core.Pair
 }
 
-func (s *analysis) unify(a, b backend.CellID) {
+// unify merges the classes of a and b. A diagnostics marker constant is
+// one cell shared by every use in its function; merging it would unify
+// every pointer ever assigned the marker into one class, whose mixed
+// types then grow field paths without bound. The other side gets the
+// marker's pair instead — nothing through a checked copy, which drops
+// markers — exactly what Andersen derives for the same constraint.
+func (s *analysis) unify(a, b backend.CellID, checked bool) {
+	if p, ok := s.marker[a]; ok {
+		if !checked {
+			s.sys.AddPair(b, p)
+		}
+		return
+	}
+	if p, ok := s.marker[b]; ok {
+		if !checked {
+			s.sys.AddPair(a, p)
+		}
+		return
+	}
 	if _, merged := s.sys.Merge(a, b); merged {
 		s.sys.St.Unions++
 	}
@@ -76,11 +105,11 @@ func (s *analysis) onCallee(n *vdg.Node, callee *vdg.FuncGraph) {
 		if i >= len(callee.ParamOuts) {
 			break
 		}
-		s.unify(cellOf[argIn.Src], cellOf[callee.ParamOuts[i]])
+		s.unify(cellOf[argIn.Src], cellOf[callee.ParamOuts[i]], false)
 	}
 	if rv := callee.ReturnValue(); rv != nil {
 		if res := vdg.CallResultOut(n); res != nil {
-			s.unify(cellOf[rv], cellOf[res])
+			s.unify(cellOf[rv], cellOf[res], false)
 		}
 	}
 }

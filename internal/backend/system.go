@@ -90,13 +90,7 @@ func NewSystem(cons *Constraints, budget limits.Budget, strategy solver.Strategy
 	for i, cl := range cons.Calls {
 		s.CallsFrom[cl.Fn] = append(s.CallsFrom[cl.Fn], int32(i))
 	}
-	cfg := solver.Config[Arrival]{Strategy: strategy, Budget: budget}
-	if strategy == solver.Priority {
-		// Cell IDs follow output creation order, the same topological
-		// approximation the CI analysis schedules by.
-		cfg.Prio = func(a Arrival) int { return int(a.Cell) }
-	}
-	s.Eng = solver.New(cfg)
+	s.Eng = solver.New(solver.Config[Arrival]{Strategy: strategy, Budget: budget})
 	s.St = s.Eng.Stats()
 	s.St.Constraints = cons.Count()
 	return s
@@ -179,7 +173,9 @@ func (s *System) Complex(r CellID, p core.Pair) {
 		}
 	}
 	storeRep := s.UF.Find(StoreCell)
-	if p.Path.IsEmptyOffset() {
+	// A marker location referent (<null>, <uninit>) reads and writes
+	// nothing, as in the CI transfer functions.
+	if p.Path.IsEmptyOffset() && !core.IsMarkerRef(p.Ref) {
 		rl := p.Ref
 		// A new location referent dereferences every store pair it may
 		// observe (lookup) …
@@ -214,7 +210,7 @@ func (s *System) Complex(r CellID, p core.Pair) {
 	for _, si := range s.StoresValFrom[r] {
 		st := s.Cons.Stores[si]
 		for _, pl := range s.Sets[s.UF.Find(st.Loc)].List() {
-			if !pl.Path.IsEmptyOffset() {
+			if !pl.Path.IsEmptyOffset() || core.IsMarkerRef(pl.Ref) {
 				continue
 			}
 			s.AddPair(StoreCell, core.Pair{Path: u.Append(pl.Ref, p.Path), Ref: p.Ref})
@@ -227,7 +223,7 @@ func (s *System) Complex(r CellID, p core.Pair) {
 		for _, l := range s.Cons.Loads {
 			dst := l.Dst
 			for _, pl := range s.Sets[s.UF.Find(l.Loc)].List() {
-				if !pl.Path.IsEmptyOffset() {
+				if !pl.Path.IsEmptyOffset() || core.IsMarkerRef(pl.Ref) {
 					continue
 				}
 				if paths.Dom(pl.Ref, p.Path) {
@@ -253,8 +249,8 @@ func (s *System) addCallEdge(n *vdg.Node, callee *vdg.FuncGraph) {
 
 // Result materializes the solved state in the shape the CI analysis
 // produces, so checkers, reports, and the oracle consume any backend's
-// solution unchanged. Outputs of one merged cell share one *PairSet,
-// exactly as the Weihl baseline shares its global store set.
+// solution unchanged. Outputs of one merged cell share one *PairSet;
+// every store output shares the store cell's.
 func (s *System) Result(out solver.Outcome) *core.Result {
 	res := &core.Result{
 		Graph:   s.Cons.Graph,

@@ -43,7 +43,7 @@ func AnalyzeDemand(g *vdg.Graph, opts DemandOptions) *Result {
 			Callees: make(map[*vdg.Node][]*vdg.FuncGraph),
 			Callers: make(map[*vdg.FuncGraph][]*vdg.Node),
 		},
-		eng: solver.New(engineConfig(g, opts.Strategy, opts.Budget, 0, func(it workItem) *vdg.Input { return it.in })),
+		eng: solver.New(solver.Config[workItem]{Strategy: opts.Strategy, Budget: opts.Budget}),
 	}
 	a.st = a.eng.Stats()
 	empty := g.Universe.Empty()

@@ -68,35 +68,6 @@ type workItem struct {
 	pair Pair
 }
 
-// topoPriority assigns each VDG input its scheduling key for the
-// Priority strategy: creation order over functions, nodes, and inputs,
-// which approximates a topological order of the acyclic core of the
-// graph (earlier nodes feed later ones).
-func topoPriority(g *vdg.Graph) map[*vdg.Input]int {
-	pri := make(map[*vdg.Input]int)
-	order := 0
-	for _, fg := range g.Funcs {
-		for _, n := range fg.Nodes {
-			for _, in := range n.Inputs {
-				pri[in] = order
-				order++
-			}
-		}
-	}
-	return pri
-}
-
-// engineConfig assembles the solver configuration shared by both
-// analyses' item types.
-func engineConfig[T any](g *vdg.Graph, strategy solver.Strategy, budget limits.Budget, maxSteps int, input func(T) *vdg.Input) solver.Config[T] {
-	cfg := solver.Config[T]{Strategy: strategy, Budget: budget, MaxSteps: maxSteps}
-	if strategy == solver.Priority {
-		pri := topoPriority(g)
-		cfg.Prio = func(item T) int { return pri[input(item)] }
-	}
-	return cfg
-}
-
 // insensitive is the analysis state.
 type insensitive struct {
 	g   *vdg.Graph
@@ -133,7 +104,7 @@ func AnalyzeInsensitiveEngine(g *vdg.Graph, budget limits.Budget, strategy solve
 			Callees: make(map[*vdg.Node][]*vdg.FuncGraph),
 			Callers: make(map[*vdg.FuncGraph][]*vdg.Node),
 		},
-		eng: solver.New(engineConfig(g, strategy, budget, 0, func(it workItem) *vdg.Input { return it.in })),
+		eng: solver.New(solver.Config[workItem]{Strategy: strategy, Budget: budget}),
 	}
 	a.st = a.eng.Stats()
 	empty := g.Universe.Empty()
@@ -205,5 +176,5 @@ func (a *insensitive) pairsAt(src *vdg.Output) []Pair {
 }
 
 // The transfer functions themselves (flow-in per node kind, call-edge
-// repropagation) live in transfer.go, shared with the per-procedure
-// region solver behind AnalyzeModular via the ciHost interface above.
+// repropagation) live in transfer.go, shared with the demand solver
+// via the ciHost interface above.

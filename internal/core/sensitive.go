@@ -161,7 +161,7 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 		at:             NewATable(),
 		opts:           opts,
 		maxAssumptions: opts.effectiveMaxAssumptions(),
-		eng:            solver.New(engineConfig(g, opts.Strategy, opts.Budget, opts.MaxSteps, func(it qItem) *vdg.Input { return it.in })),
+		eng:            solver.New(solver.Config[qItem]{Strategy: opts.Strategy, Budget: opts.Budget, MaxSteps: opts.MaxSteps}),
 		retNeeds:       make(map[*vdg.Output]map[Pair][]retEntry),
 	}
 	a.st = a.eng.Stats()
@@ -299,7 +299,7 @@ func (a *sensitive) lookupFlow(n *vdg.Node, in *vdg.Input, q QPair) {
 	out := n.Outputs[0]
 	switch in.Index {
 	case 0: // location
-		if !q.P.Path.IsEmptyOffset() {
+		if !q.P.Path.IsEmptyOffset() || IsMarkerRef(q.P.Ref) {
 			return
 		}
 		rl := q.P.Ref
@@ -314,7 +314,7 @@ func (a *sensitive) lookupFlow(n *vdg.Node, in *vdg.Input, q QPair) {
 		}
 	case 1: // store
 		for _, ql := range a.qpairsAt(n.Loc()) {
-			if !ql.P.Path.IsEmptyOffset() {
+			if !ql.P.Path.IsEmptyOffset() || IsMarkerRef(ql.P.Ref) {
 				continue
 			}
 			if paths.Dom(ql.P.Ref, q.P.Path) {
@@ -365,11 +365,13 @@ func (a *sensitive) updateFlow(n *vdg.Node, in *vdg.Input, q QPair) {
 		}
 		rl := q.P.Ref
 		al := a.locAssumptions(n, q.A)
-		for _, qv := range a.qpairsAt(n.Value()) {
-			a.flowOut(out, QPair{
-				P: Pair{Path: u.Append(rl, qv.P.Path), Ref: qv.P.Ref},
-				A: a.at.Union(al, qv.A),
-			})
+		if !IsMarkerRef(rl) {
+			for _, qv := range a.qpairsAt(n.Value()) {
+				a.flowOut(out, QPair{
+					P: Pair{Path: u.Append(rl, qv.P.Path), Ref: qv.P.Ref},
+					A: a.at.Union(al, qv.A),
+				})
+			}
 		}
 		for _, qs := range a.qpairsAt(n.StoreIn()) {
 			if a.ciUnmodifiable(n, qs.P.Path) {
@@ -397,7 +399,7 @@ func (a *sensitive) updateFlow(n *vdg.Node, in *vdg.Input, q QPair) {
 		}
 	case 2: // value
 		for _, ql := range a.qpairsAt(n.Loc()) {
-			if !ql.P.Path.IsEmptyOffset() {
+			if !ql.P.Path.IsEmptyOffset() || IsMarkerRef(ql.P.Ref) {
 				continue
 			}
 			al := a.locAssumptions(n, ql.A)

@@ -7,26 +7,19 @@ import (
 
 // ciHost is the slice of analysis state the context-insensitive
 // transfer functions need. Two hosts implement it: the whole-program
-// solver (insensitive), where every emission lands directly in the one
-// global set map, and the per-procedure region solver behind
-// AnalyzeModular, where emissions crossing a procedure boundary are
-// buffered to the round barrier and call-graph edges are registered
-// there. The transfer semantics below are shared verbatim — that is
-// what makes "modular == exhaustive" a structural property rather than
-// a re-implementation to keep in sync.
+// solver (insensitive), where every emission lands in the one global
+// set map, and the demand solver (AnalyzeDemand), which drops emissions
+// that leave its slice. The transfer semantics below are shared
+// verbatim — that is what makes "demand == exhaustive" on the slice a
+// structural property rather than a re-implementation to keep in sync.
 //
 // The methods are deliberately minimal:
 //
-//   - pairsAt reads the current set on an output. Every read the
-//     transfer functions perform is through an input of the node being
-//     processed, and VDG edges are intra-procedural — so a region host
-//     only ever reads its own state here.
+//   - pairsAt reads the current set on an output.
 //   - emit adds a pair to an output's set (a meet), queueing consumers
-//     on growth. The target may be in another procedure (callee
-//     formals, caller call outputs); routing is the host's business.
-//   - linkEdge records a discovered call edge. The whole-program host
-//     applies it immediately; the region host defers it to the barrier
-//     because applying it reads the callee's state.
+//     on growth.
+//   - linkEdge records a discovered call edge and repropagates it
+//     (ciApplyCallEdge).
 //
 // The generic instantiation (rather than an interface value) lets the
 // compiler devirtualize the hot path per host.
@@ -101,13 +94,17 @@ func ciExtendField[H ciHost](h H, n *vdg.Node, p *paths.Path) *paths.Path {
 }
 
 // ciLookupFlow: a new location dereferences every store pair it may
-// observe; a new store pair is observed by every location.
+// observe; a new store pair is observed by every location. A marker
+// location referent (<null>, <uninit>) reads nothing: the marker is one
+// location shared by every pointer type, so whatever a store through a
+// maybe-null pointer left there would come back under the wrong type,
+// and the paths it grows would never stop growing.
 func ciLookupFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 	u := h.universe()
 	out := n.Outputs[0]
 	switch in.Index {
 	case 0: // location input
-		if !pair.Path.IsEmptyOffset() {
+		if !pair.Path.IsEmptyOffset() || IsMarkerRef(pair.Ref) {
 			return
 		}
 		rl := pair.Ref
@@ -118,7 +115,7 @@ func ciLookupFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 		}
 	case 1: // store input
 		for _, pl := range h.pairsAt(n.Loc()) {
-			if !pl.Path.IsEmptyOffset() {
+			if !pl.Path.IsEmptyOffset() || IsMarkerRef(pl.Ref) {
 				continue
 			}
 			if paths.Dom(pl.Ref, pair.Path) {
@@ -131,7 +128,9 @@ func ciLookupFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 // ciUpdateFlow implements strong updates: a store pair passes through
 // only via location referents that do not definitely overwrite it, and
 // store pairs are blocked entirely until the first location arrives
-// (the dual-worklist behaviour of [CWZ90]).
+// (the dual-worklist behaviour of [CWZ90]). A marker location referent
+// writes no value pairs (see ciLookupFlow); the store still passes
+// through it, because a marker is a summary location.
 func ciUpdateFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 	u := h.universe()
 	out := n.Outputs[0]
@@ -141,8 +140,10 @@ func ciUpdateFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 			return
 		}
 		rl := pair.Ref
-		for _, pv := range h.pairsAt(n.Value()) {
-			h.emit(out, Pair{Path: u.Append(rl, pv.Path), Ref: pv.Ref})
+		if !IsMarkerRef(rl) {
+			for _, pv := range h.pairsAt(n.Value()) {
+				h.emit(out, Pair{Path: u.Append(rl, pv.Path), Ref: pv.Ref})
+			}
 		}
 		for _, ps := range h.pairsAt(n.StoreIn()) {
 			if !paths.StrongDom(rl, ps.Path) {
@@ -160,7 +161,7 @@ func ciUpdateFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 		}
 	case 2: // value input
 		for _, pl := range h.pairsAt(n.Loc()) {
-			if !pl.Path.IsEmptyOffset() {
+			if !pl.Path.IsEmptyOffset() || IsMarkerRef(pl.Ref) {
 				continue
 			}
 			h.emit(out, Pair{Path: u.Append(pl.Ref, pair.Path), Ref: pair.Ref})
@@ -204,10 +205,7 @@ func ciCallFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 // call → callee edge: existing actuals and store flow forward to the
 // callee's formals, and the callee's existing returns flow back to this
 // call site. The host must have recorded the edge in its callee/caller
-// maps before calling this (so the emissions do not re-trigger it), and
-// must guarantee both endpoints' sets are readable — the whole-program
-// host always can; the region host calls this only at the round
-// barrier.
+// maps before calling this, so the emissions do not re-trigger it.
 func ciApplyCallEdge[H ciHost](h H, n *vdg.Node, callee *vdg.FuncGraph) {
 	for _, pair := range h.pairsAt(n.StoreIn()) {
 		h.emit(callee.StoreParam, pair)

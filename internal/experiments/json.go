@@ -42,26 +42,6 @@ type UnitJSON struct {
 	// differ between CI and CS — the paper's headline quantity (zero on
 	// every benchmark). Present only when both analyses ran.
 	IndirectDiffs *int `json:"indirectDiffs,omitempty"`
-
-	// Modular carries the bottom-up summary solve's reuse counters,
-	// present only when the batch ran with BatchOptions.Modular; default
-	// runs' bytes are unchanged.
-	Modular *ModularJSON `json:"modular,omitempty"`
-}
-
-// ModularJSON records the summary solver's deterministic counters for
-// one unit: the cold solve into a fresh cache and the warm rerun
-// against it. No wall-clock times — those live in the Incremental text
-// table, not the byte-stable JSON.
-type ModularJSON struct {
-	Procedures  int `json:"procedures"`
-	ColdSolved  int `json:"coldSolved"`
-	ColdRounds  int `json:"coldRounds"`
-	WarmReused  int `json:"warmReused"`
-	WarmSolved  int `json:"warmSolved"`
-	WarmRounds  int `json:"warmRounds"`
-	Restarts    int `json:"restarts,omitempty"`
-	Invalidated int `json:"invalidated,omitempty"`
 }
 
 // AnalysisJSON summarizes one analysis of one unit.
@@ -213,18 +193,6 @@ func UnitsJSONWith(rs []*ProgramResult, jo JSONOptions) []UnitJSON {
 				}
 				diffs := len(stats.IndirectDiff(r.Unit.Graph, r.CISets, r.CSSets))
 				u.IndirectDiffs = &diffs
-			}
-			if r.ModularCold != nil && r.ModularWarm != nil {
-				u.Modular = &ModularJSON{
-					Procedures:  r.ModularCold.Procedures,
-					ColdSolved:  r.ModularCold.Misses + r.ModularCold.Forced,
-					ColdRounds:  r.ModularCold.Rounds,
-					WarmReused:  r.ModularWarm.Reused(),
-					WarmSolved:  r.ModularWarm.Misses + r.ModularWarm.Forced,
-					WarmRounds:  r.ModularWarm.Rounds,
-					Restarts:    r.ModularCold.Restarts + r.ModularWarm.Restarts,
-					Invalidated: r.ModularCold.Invalidated + r.ModularWarm.Invalidated,
-				}
 			}
 		}
 		out = append(out, u)

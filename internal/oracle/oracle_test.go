@@ -61,8 +61,8 @@ func TestCorpusInvariants(t *testing.T) {
 }
 
 // TestStrategyConfluence is the order-independence oracle for the
-// pluggable solver engine: on every corpus program, the LIFO and
-// priority worklists must reach exactly the FIFO fixpoint — identical
+// pluggable solver engine: on every corpus program, the LIFO worklist
+// must reach exactly the FIFO fixpoint — identical
 // pair sets per output for CI and stripped CS, identical
 // indirect-agreement measurements, identical strategy-independent work
 // counters. A worklist or engine bug that leaks visit order into the

@@ -4,8 +4,7 @@
 // slice of outputs that can influence them, and runs the shared ciHost
 // transfer layer (core.AnalyzeDemand) seeded with only that slice. A
 // per-engine memo keeps every solved slice, so overlapping queries pay
-// for new outputs only; the server's whole-unit LRU sits above this the
-// same way it sits above the summary cache.
+// for new outputs only; the server's whole-unit LRU sits above this.
 package query
 
 import (

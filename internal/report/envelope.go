@@ -36,19 +36,12 @@ type Envelope struct {
 	// ladder transition, in order.
 	Notes []string `json:"notes,omitempty"`
 
-	// Mode names how the points-to fixpoint was computed: "modular"
-	// when per-procedure summaries composed the answer (the sets are
-	// still the exact whole-program fixpoint — the oracle enforces
-	// equality), empty for the default exhaustive solve. Unlike the
-	// other fields this is not a degradation signal; it rides in the
-	// envelope so consumers find tier and mode in one place.
+	// Mode names the kind of answer when it is not a points-to
+	// analysis: "query" for demand-driven query responses, empty
+	// otherwise. Unlike the other fields this is not a degradation
+	// signal; it rides in the envelope so consumers find tier and mode
+	// in one place.
 	Mode string `json:"mode,omitempty"`
-}
-
-// ModularEnvelope builds a non-degraded envelope that only records the
-// modular analysis mode.
-func ModularEnvelope() Envelope {
-	return Envelope{Mode: "modular"}
 }
 
 // WithMode returns a copy of e with the analysis mode attached.

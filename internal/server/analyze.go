@@ -85,14 +85,6 @@ type request struct {
 	// expressions (ci backend only). Answers are byte-identical to
 	// evaluating the same queries on the exhaustive fixpoint.
 	Queries []string `json:"queries,omitempty"`
-
-	// Modular solves the context-insensitive fixpoint by composing
-	// per-procedure summaries from the server's shared summary cache
-	// instead of exhaustively (ci backend only). The answer is
-	// identical — only the work changes: procedures already summarized
-	// by any earlier request are not re-solved. Responses carry a
-	// report.Envelope with Mode "modular".
-	Modular bool `json:"modular,omitempty"`
 }
 
 // job is a validated request plus its effective (clamped) budget — the
@@ -103,7 +95,6 @@ type job struct {
 	kind     backend.Kind
 	strategy solver.Strategy
 	source   string // canonicalized; empty for corpus jobs
-	modular  bool
 
 	maxSteps, maxPairs int
 	timeout            time.Duration
@@ -248,10 +239,6 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 	} else if len(req.Checkers) > 0 {
 		return nil, errorResponse(http.StatusBadRequest, "checkers apply to /v1/vet only")
 	}
-	if req.Modular && kind != backend.CI {
-		return nil, errorResponse(http.StatusBadRequest,
-			"modular solving runs on the ci backend, not %s", kind)
-	}
 	if m == modeQuery {
 		if len(req.Queries) == 0 {
 			return nil, errorResponse(http.StatusBadRequest, "queries must not be empty")
@@ -261,10 +248,6 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 			// backends have no demand host.
 			return nil, errorResponse(http.StatusBadRequest,
 				"queries run on the ci backend, not %s", kind)
-		}
-		if req.Modular {
-			return nil, errorResponse(http.StatusBadRequest,
-				"modular solving does not combine with queries")
 		}
 		for _, src := range req.Queries {
 			if _, err := query.ParseAll(src); err != nil {
@@ -276,7 +259,7 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 	}
 
 	j := &job{mode: m, req: req, kind: kind, strategy: strategy,
-		source: canonicalize(req.Source), modular: req.Modular}
+		source: canonicalize(req.Source)}
 	if j.maxSteps, err = s.headerCap(r, hdrMaxSteps, s.cfg.MaxSteps); err != nil {
 		return nil, errorResponse(http.StatusBadRequest, "%v", err)
 	}
@@ -337,7 +320,6 @@ func (j *job) key() cacheKey {
 	put(j.mode.String())
 	put(j.kind.String())
 	put(j.strategy.String())
-	put(strconv.FormatBool(j.modular))
 	put(strings.Join(j.req.Checkers, ","))
 	put(strings.Join(j.req.Queries, "\x00"))
 	put(strconv.Itoa(j.maxSteps))
@@ -414,8 +396,8 @@ func (s *Server) run(j *job) *response {
 // 503: the partial state is not a sound answer, so no result is served.
 func (s *Server) exhausted(err error) *response { return s.exhaustedIn(err, "") }
 
-// exhaustedIn is exhausted with the analysis mode recorded in the
-// envelope, so a blown modular solve stays distinguishable.
+// exhaustedIn is exhausted with the answer mode recorded in the
+// envelope, so a blown query stays distinguishable.
 func (s *Server) exhaustedIn(err error, mode string) *response {
 	s.degraded.Add(1)
 	env := report.DegradedEnvelope(err.Error(), "").WithSound(false).WithMode(mode)
@@ -463,24 +445,6 @@ func (s *Server) runAnalyze(j *job, u *driver.Unit, budget limits.Budget) *respo
 
 	switch j.kind {
 	case backend.CI, backend.CS:
-		if j.modular { // ci only; parse rejected every other combination
-			mo := core.ModularOptions{Budget: budget, Strategy: j.strategy, Metrics: s.reg}
-			if s.summaries != nil {
-				mo.Cache = s.summaries
-			}
-			res, _ := core.AnalyzeModular(u.Graph, mo)
-			if res.Stopped != nil {
-				// A stopped modular solve is a partial CI fixpoint:
-				// under-approximating and unsound to serve, exactly like
-				// the exhaustive TierPartialCI case.
-				return s.exhaustedIn(res.Stopped, "modular")
-			}
-			label = "context-insensitive"
-			e := report.ModularEnvelope()
-			env = &e
-			sets = res.Sets
-			break
-		}
 		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
 			Budget:    budget,
 			Sensitive: j.kind == backend.CS,
@@ -627,15 +591,7 @@ func (s *Server) runVet(j *job, u *driver.Unit, budget limits.Budget) *response 
 	case backend.Steensgaard:
 		res = steensgaard.AnalyzeBudgeted(u.Graph, budget)
 	default: // backend.CI; CS was rejected at parse
-		if j.modular {
-			mo := core.ModularOptions{Budget: budget, Strategy: j.strategy, Metrics: s.reg}
-			if s.summaries != nil {
-				mo.Cache = s.summaries
-			}
-			res, _ = core.AnalyzeModular(u.Graph, mo)
-		} else {
-			res = core.AnalyzeInsensitiveEngine(u.Graph, budget, j.strategy)
-		}
+		res = core.AnalyzeInsensitiveEngine(u.Graph, budget, j.strategy)
 	}
 	sel, err := checkers.Select(j.req.Checkers)
 	if err != nil {
@@ -652,9 +608,6 @@ func (s *Server) runVet(j *job, u *driver.Unit, budget limits.Budget) *response 
 		s.degraded.Add(1)
 		status = http.StatusPartialContent
 		e := report.DegradedEnvelope(res.Stopped.Error(), "")
-		if j.modular {
-			e = e.WithMode("modular")
-		}
 		e.Notes = []string{"vet ran on a partial points-to solution; findings may be missing"}
 		env = &e
 	}

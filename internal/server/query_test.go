@@ -98,7 +98,7 @@ func TestQueryValidation(t *testing.T) {
 	}{
 		{"empty", "/v1/query", map[string]any{"source": cleanSrc}, "queries must not be empty"},
 		{"backend", "/v1/query", map[string]any{"source": cleanSrc, "backend": "andersen", "queries": []string{"pointsto(p)"}}, "ci backend"},
-		{"modular", "/v1/query", map[string]any{"source": cleanSrc, "modular": true, "queries": []string{"pointsto(p)"}}, "modular"},
+		{"unknown-field", "/v1/query", map[string]any{"source": cleanSrc, "modular": true, "queries": []string{"pointsto(p)"}}, "modular"},
 		{"wrong-endpoint", "/v1/analyze", map[string]any{"source": cleanSrc, "queries": []string{"pointsto(p)"}}, "/v1/query only"},
 		{"unparsable", "/v1/query", map[string]any{"source": cleanSrc, "queries": []string{"frobnicate(p)"}}, "frobnicate"},
 		{"unresolvable", "/v1/query", map[string]any{"source": cleanSrc, "queries": []string{"pointsto(nosuch)"}}, "nosuch"},

@@ -29,11 +29,6 @@
 //   - Caching. Completed full results enter a bounded LRU keyed by the
 //     SHA-256 of the request's analysis identity, and a single-flight
 //     group collapses concurrent identical requests into one solve.
-//     Beneath that whole-response LRU, requests that opt into modular
-//     solving ("modular": true, ci backend) share a per-procedure
-//     summary cache: an edited source re-solves only the procedures
-//     the edit touched, and the composed answer is exactly the
-//     whole-program fixpoint (oracle-enforced).
 //
 // Fault injection (internal/faults) hooks the load/solve/render stages
 // so the chaos suite can prove all of the above; it is nil and free in
@@ -52,7 +47,6 @@ import (
 	"aliaslab/internal/faults"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/sched"
-	"aliaslab/internal/summary"
 )
 
 // Config tunes a Server. The zero value is production-usable: every
@@ -82,15 +76,6 @@ type Config struct {
 	// (default 10s).
 	MaxTimeout     time.Duration
 	DefaultTimeout time.Duration
-
-	// SummaryRecords bounds the per-procedure summary cache shared by
-	// modular requests (the "modular" request field): 0 means the
-	// summary package's default bound, negative disables the cache —
-	// modular requests then solve every procedure cold. The summary
-	// cache sits beneath the whole-response LRU: the LRU answers
-	// byte-identical requests, the summary cache answers unchanged
-	// procedures of *different* requests.
-	SummaryRecords int
 
 	// Registry receives the server metrics (auto-created when nil).
 	Registry *obs.Registry
@@ -136,13 +121,6 @@ type Server struct {
 	reg     *obs.Registry
 	faults  *faults.Injector
 
-	// summaries is the process-lifetime per-procedure summary cache
-	// behind modular requests; nil when Config.SummaryRecords is
-	// negative. It is concurrency-safe and shared across requests by
-	// design: that sharing is what makes an edited source cheap to
-	// re-analyze.
-	summaries *summary.Cache
-
 	draining atomic.Bool
 
 	requests *obs.Counter
@@ -161,9 +139,6 @@ func New(cfg Config) *Server {
 		flights: newFlightGroup(),
 		reg:     cfg.Registry,
 		faults:  cfg.Faults,
-	}
-	if cfg.SummaryRecords >= 0 {
-		s.summaries = summary.NewCache(cfg.SummaryRecords, cfg.Registry)
 	}
 	// Server metrics are Volatile by definition: they count wall-clock
 	// traffic, not analysis facts.
@@ -234,9 +209,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.Gauge("server.cache.evictions", obs.Volatile).Set(evictions)
 	s.reg.Gauge("server.cache.entries", obs.Volatile).Set(int64(s.cache.Len()))
 	s.reg.Gauge("server.flight.dedup", obs.Volatile).Set(s.flights.Dedups())
-	if s.summaries != nil {
-		s.reg.Gauge("summary.cache.entries", obs.Volatile).Set(int64(s.summaries.Len()))
-	}
 	s.reg.Gauge("server.admission.rejected", obs.Volatile).Set(int64(s.sem.Rejected()))
 	s.reg.Gauge("server.inflight", obs.Volatile).Set(int64(s.sem.InFlight()))
 	s.reg.Gauge("server.faults.injected", obs.Volatile).Set(int64(s.faults.Injected()))

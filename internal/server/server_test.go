@@ -152,12 +152,14 @@ func TestBadRequests(t *testing.T) {
 		status int
 		substr string
 	}{
-		"neither":         {body: map[string]string{}, status: 400, substr: "exactly one"},
-		"both":            {body: map[string]string{"source": "int main(void){return 0;}", "corpus": "part"}, status: 400, substr: "exactly one"},
-		"unknown corpus":  {body: map[string]string{"corpus": "nosuch"}, status: 400},
-		"unknown backend": {body: map[string]string{"corpus": "part", "backend": "anderson"}, status: 400},
-		"steens worklist": {body: map[string]string{"corpus": "part", "backend": "steensgaard", "worklist": "lifo"}, status: 400, substr: "no worklist to schedule"},
-		"bad worklist":    {body: map[string]string{"corpus": "part", "worklist": "random"}, status: 400},
+		"neither":           {body: map[string]string{}, status: 400, substr: "exactly one"},
+		"both":              {body: map[string]string{"source": "int main(void){return 0;}", "corpus": "part"}, status: 400, substr: "exactly one"},
+		"unknown corpus":    {body: map[string]string{"corpus": "nosuch"}, status: 400},
+		"unknown backend":   {body: map[string]string{"corpus": "part", "backend": "anderson"}, status: 400},
+		"steens worklist":   {body: map[string]string{"corpus": "part", "backend": "steensgaard", "worklist": "lifo"}, status: 400, substr: "no worklist to schedule"},
+		"bad worklist":      {body: map[string]string{"corpus": "part", "worklist": "random"}, status: 400},
+		"priority worklist": {body: map[string]string{"corpus": "part", "worklist": "priority"}, status: 400, substr: "unknown worklist strategy"},
+		"modular field":     {body: map[string]any{"corpus": "part", "modular": true}, status: 400, substr: "modular"},
 		"checkers on analyze": {body: map[string]any{"corpus": "part", "checkers": []string{"uaf"}},
 			status: 400, substr: "vet only"},
 		"bad header": {body: map[string]string{"corpus": "part"},

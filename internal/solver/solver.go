@@ -2,8 +2,7 @@
 // analysis in the repository. An Engine drains a worklist of arrivals
 // through a client-supplied transfer function, metering each iteration
 // against a limits.Budget gate and counting its work in a Stats record;
-// the worklist discipline (FIFO, LIFO, or priority by topological node
-// order) is a pluggable Strategy. The analyses in internal/core differ
+// the worklist discipline (FIFO or LIFO) is a pluggable Strategy. The analyses in internal/core differ
 // only in their item type and transfer functions — the loop scaffolding,
 // resource governance, and counters live here, once.
 //
@@ -29,11 +28,6 @@ const (
 	FIFO Strategy = iota
 	// LIFO processes the newest arrival first (depth-first propagation).
 	LIFO
-	// Priority processes arrivals at the topologically earliest node
-	// first (VDG creation order approximates a topological order of the
-	// acyclic core; ties break by arrival sequence, so the order is
-	// deterministic).
-	Priority
 )
 
 func (s Strategy) String() string {
@@ -42,8 +36,6 @@ func (s Strategy) String() string {
 		return "fifo"
 	case LIFO:
 		return "lifo"
-	case Priority:
-		return "priority"
 	}
 	return fmt.Sprintf("solver.Strategy(%d)", int(s))
 }
@@ -56,14 +48,12 @@ func ParseStrategy(name string) (Strategy, error) {
 		return FIFO, nil
 	case "lifo":
 		return LIFO, nil
-	case "priority", "topo":
-		return Priority, nil
 	}
-	return FIFO, fmt.Errorf("solver: unknown worklist strategy %q (want fifo, lifo, or priority)", name)
+	return FIFO, fmt.Errorf("solver: unknown worklist strategy %q (want fifo or lifo)", name)
 }
 
 // Strategies lists every worklist strategy, FIFO (the reference) first.
-func Strategies() []Strategy { return []Strategy{FIFO, LIFO, Priority} }
+func Strategies() []Strategy { return []Strategy{FIFO, LIFO} }
 
 // Stats counts one engine run's work. Steps, Enqueued, and PairInserts
 // are strategy-independent on a run that converges (the fixpoint is
@@ -145,11 +135,6 @@ type Config[T any] struct {
 	// analysis: the run aborts without a Violation when it is reached
 	// (0 = unlimited).
 	MaxSteps int
-
-	// Prio maps an item to its scheduling key for the Priority
-	// strategy (smaller runs first); ignored otherwise. Required when
-	// Strategy == Priority.
-	Prio func(T) int
 }
 
 // Engine drives one fixpoint computation: the client seeds it with
@@ -164,17 +149,9 @@ type Engine[T any] struct {
 
 // New builds an engine for one analysis run.
 func New[T any](cfg Config[T]) *Engine[T] {
-	var wl Worklist[T]
-	switch cfg.Strategy {
-	case LIFO:
+	var wl Worklist[T] = &fifo[T]{}
+	if cfg.Strategy == LIFO {
 		wl = &lifo[T]{}
-	case Priority:
-		if cfg.Prio == nil {
-			panic("solver: Priority strategy requires Config.Prio")
-		}
-		wl = &prioQueue[T]{prio: cfg.Prio}
-	default:
-		wl = &fifo[T]{}
 	}
 	return &Engine[T]{
 		wl:       wl,
@@ -282,73 +259,3 @@ func (l *lifo[T]) Pop() (T, bool) {
 }
 
 func (l *lifo[T]) Len() int { return len(l.items) }
-
-// prioQueue is a binary min-heap on (prio, seq): the priority function
-// schedules, the arrival sequence number breaks ties, so the pop order
-// is a deterministic function of the push sequence.
-type prioQueue[T any] struct {
-	prio  func(T) int
-	items []prioItem[T]
-	seq   int
-}
-
-type prioItem[T any] struct {
-	item T
-	prio int
-	seq  int
-}
-
-func (q *prioQueue[T]) less(i, j int) bool {
-	if q.items[i].prio != q.items[j].prio {
-		return q.items[i].prio < q.items[j].prio
-	}
-	return q.items[i].seq < q.items[j].seq
-}
-
-func (q *prioQueue[T]) Push(item T) {
-	q.items = append(q.items, prioItem[T]{item: item, prio: q.prio(item), seq: q.seq})
-	q.seq++
-	// Sift up.
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
-	}
-}
-
-func (q *prioQueue[T]) Pop() (T, bool) {
-	var zero T
-	n := len(q.items)
-	if n == 0 {
-		return zero, false
-	}
-	top := q.items[0].item
-	q.items[0] = q.items[n-1]
-	q.items[n-1] = prioItem[T]{} // release for GC
-	q.items = q.items[:n-1]
-	// Sift down.
-	n--
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
-	}
-	return top, true
-}
-
-func (q *prioQueue[T]) Len() int { return len(q.items) }

@@ -48,25 +48,6 @@ func TestLIFOOrder(t *testing.T) {
 	}
 }
 
-func TestPriorityOrder(t *testing.T) {
-	e := New(Config[int]{Strategy: Priority, Prio: func(x int) int { return x / 10 }})
-	// Priorities: 31→3, 10→1, 11→1, 20→2. Ties (10, 11) break by
-	// arrival sequence.
-	pushAll(e, 31, 10, 20, 11)
-	if got := drain(e); !eq(got, []int{10, 11, 20, 31}) {
-		t.Errorf("priority pop order = %v, want [10 11 20 31]", got)
-	}
-}
-
-func TestPriorityRequiresPrio(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(Priority) without Prio did not panic")
-		}
-	}()
-	New(Config[int]{Strategy: Priority})
-}
-
 // TestFIFOCompaction pushes enough items to trigger the queue's dead-
 // prefix compaction mid-drain and checks no item is lost or reordered.
 func TestFIFOCompaction(t *testing.T) {
@@ -155,8 +136,7 @@ func TestParseStrategy(t *testing.T) {
 		{"", FIFO, false},
 		{"fifo", FIFO, false},
 		{"lifo", LIFO, false},
-		{"priority", Priority, false},
-		{"topo", Priority, false},
+		{"priority", FIFO, true},
 		{"bogus", FIFO, true},
 	}
 	for _, c := range cases {

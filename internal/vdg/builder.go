@@ -408,8 +408,9 @@ func (fb *fnBuilder) initAggregate(addr *Output, typ *ctypes.Type, elems []ast.E
 // orderedEnv returns env's keys in declaration order (position, then
 // name). Merge points and loop headers create gamma nodes while
 // walking the environment; iterating the map directly would make node
-// creation order — and with it vdg.FuncGraph.BodyHash — vary between
-// builds of the same source, which breaks cross-build summary reuse.
+// creation order vary between builds of the same source, and with it
+// path interning, worklist order, the order-dependent engine counters
+// and every rendering that follows creation order.
 func orderedEnv(env map[*sema.Object]*Output) []*sema.Object {
 	objs := make([]*sema.Object, 0, len(env))
 	for obj := range env {

@@ -1,7 +1,7 @@
 package aliaslab_test
 
-// Tests for the budget-governed facade entry points: AnalyzeLimited,
-// AnalyzeContextSensitiveLimited, and VetLimited.
+// Tests for the budget-governed facade paths: Analyze with non-zero
+// Limits, and VetLimited.
 
 import (
 	"context"
@@ -45,11 +45,11 @@ func TestLimitedMatchesUnlimitedUnderGenerousBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := prog.Analyze()
+	exact, err := prog.Analyze(context.Background(), aliaslab.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim, err := prog.AnalyzeLimited(context.Background(), aliaslab.Limits{Timeout: time.Minute})
+	lim, err := prog.Analyze(context.Background(), aliaslab.Config{Limits: aliaslab.Limits{Timeout: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestContextSensitiveLimitedDegradesSoundly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := prog.Analyze()
+	ci, err := prog.Analyze(context.Background(), aliaslab.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := prog.AnalyzeContextSensitive(0)
+	cs, err := prog.Analyze(context.Background(), aliaslab.Config{Backend: "cs"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestContextSensitiveLimitedDegradesSoundly(t *testing.T) {
 		t.Fatalf("fixture not adversarial: CI %d, CS %d flow-ins", ci.TransferFns, cs.TransferFns)
 	}
 
-	res, err := prog.AnalyzeContextSensitiveLimited(context.Background(), aliaslab.Limits{MaxSteps: budget})
+	res, err := prog.Analyze(context.Background(), aliaslab.Config{Backend: "cs", Limits: aliaslab.Limits{MaxSteps: budget}})
 	if err != nil {
 		t.Fatalf("sound degraded tiers must not error: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestAnalyzeLimitedPartialReturnsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.AnalyzeLimited(context.Background(), aliaslab.Limits{MaxSteps: 10})
+	res, err := prog.Analyze(context.Background(), aliaslab.Config{Limits: aliaslab.Limits{MaxSteps: 10}})
 	if err == nil {
 		t.Fatal("partial (unsound) CI result must come with an error")
 	}
@@ -122,7 +122,7 @@ func TestAnalyzeLimitedCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := prog.AnalyzeLimited(ctx, aliaslab.Limits{})
+	res, err := prog.Analyze(ctx, aliaslab.Config{})
 	// A pre-cancelled context stops the run at the first deadline poll;
 	// a fixture small enough to finish before polling is also fine —
 	// what must never happen is an error without a result.
