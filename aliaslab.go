@@ -24,9 +24,8 @@ import (
 	"sync"
 	"time"
 
+	"aliaslab/internal/analysis"
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
@@ -216,7 +215,13 @@ type Limits struct {
 	WidenAssumptions int
 }
 
+// budget turns l and ctx into a solver budget. Zero Limits under a
+// context that can never be cancelled is the unlimited budget, on
+// which the solvers run ungoverned.
 func (l Limits) budget(ctx context.Context) (limits.Budget, context.CancelFunc) {
+	if l == (Limits{}) && (ctx == nil || ctx.Done() == nil) {
+		return limits.Budget{}, func() {}
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -275,112 +280,26 @@ func Backends() []string {
 // produce full CI-shaped results, so ModRef and CallGraph work on every
 // backend.
 func (p *Program) Analyze(ctx context.Context, cfg Config) (*Result, error) {
-	kind, err := backend.ParseKind(cfg.Backend)
+	req, err := analysis.Parse(cfg.Backend, cfg.Worklist)
 	if err != nil {
 		return nil, fmt.Errorf("aliaslab: %w", err)
 	}
-	if err := backend.ValidateWorklist(kind, cfg.Worklist); err != nil {
-		return nil, fmt.Errorf("aliaslab: %w", err)
-	}
-	strategy, err := solver.ParseStrategy(cfg.Worklist)
-	if err != nil {
-		return nil, fmt.Errorf("aliaslab: %w", err)
-	}
-	var budget limits.Budget // unlimited
-	if cfg.Limits != (Limits{}) || (ctx != nil && ctx.Done() != nil) {
-		var cancel context.CancelFunc
-		budget, cancel = cfg.Limits.budget(ctx)
-		defer cancel()
-	}
-	switch kind {
-	case backend.CI, backend.CS:
-		if !budget.Unlimited() {
-			return p.analyzeGoverned(kind, strategy, budget, cfg.Limits.WidenAssumptions)
-		}
-		sp := p.span("solve-ci")
-		ci := core.AnalyzeInsensitiveEngine(p.unit.Graph, budget, strategy)
-		core.AttachEngine(sp, ci.Engine)
-		if kind == backend.CI {
-			return ciResult(p, ci, "context-insensitive"), nil
-		}
-		sp = p.span("solve-cs")
-		cs := core.AnalyzeSensitive(p.unit.Graph, core.SensitiveOptions{CI: ci, Strategy: strategy})
-		core.AttachEngine(sp, cs.Engine)
-		return &Result{
-			prog: p, ci: ci, sets: cs.Strip(), label: "context-sensitive",
-			TransferFns: cs.Metrics.FlowIns, MeetOps: cs.Metrics.FlowOuts,
-			Engine: engineStats(cs.Engine),
-		}, nil
-	}
-	sp := p.span("solve-" + kind.String())
-	var r *core.Result
-	label := "andersen (inclusion-based)"
-	if kind == backend.Andersen {
-		r = andersen.AnalyzeEngine(p.unit.Graph, budget, strategy)
-	} else {
-		r = steensgaard.AnalyzeBudgeted(p.unit.Graph, budget)
-		label = "steensgaard (unification-based)"
-	}
-	core.AttachEngine(sp, r.Engine)
-	res := ciResult(p, r, label)
-	if r.Stopped == nil {
-		return res, nil
-	}
-	res.Degraded = true
-	res.notes = []string{fmt.Sprintf("%s solve stopped: %v", kind, r.Stopped)}
-	res.label += " (degraded: partial)"
-	return res, fmt.Errorf("aliaslab: %s analysis stopped early (%v); partial result is not sound", kind, r.Stopped)
-}
-
-// ciResult adapts a CI-shaped solution to the public Result shape.
-func ciResult(p *Program, res *core.Result, label string) *Result {
-	return &Result{
-		prog: p, ci: res, sets: res.Sets, label: label,
-		TransferFns: res.Metrics.FlowIns, MeetOps: res.Metrics.FlowOuts,
-		Engine: engineStats(res.Engine),
-	}
-}
-
-// analyzeGoverned runs ci or cs through the degradation ladder.
-func (p *Program) analyzeGoverned(kind backend.Kind, strategy solver.Strategy, budget limits.Budget, widen int) (*Result, error) {
+	budget, cancel := cfg.Limits.budget(ctx)
+	defer cancel()
 	sp := p.span("solve")
-	gr := core.AnalyzeGoverned(p.unit.Graph, core.GovernedOptions{
-		Budget:           budget,
-		Sensitive:        kind == backend.CS,
-		WidenAssumptions: widen,
-		Strategy:         strategy,
-		Span:             sp,
-	})
+	out := analysis.Solve(p.unit.Graph, req, budget, cfg.Limits.WidenAssumptions, sp)
 	sp.End()
-	requested := "context-insensitive"
-	if kind == backend.CS {
-		requested = "context-sensitive"
+	final := out.Final().Stats
+	res := &Result{
+		prog: p, ci: out.Result, sets: out.Sets, label: out.Label,
+		Degraded: out.Degraded(), notes: out.Notes,
+		TransferFns: final.Steps, MeetOps: final.Meets,
+		Engine: engineStats(final),
 	}
-	res := resultFromGoverned(p, gr, requested)
-	if gr.Tier == core.TierPartialCI {
-		return res, fmt.Errorf("aliaslab: analysis stopped early (%v); partial result is not sound", gr.Stopped)
+	if !out.Sound {
+		return res, fmt.Errorf("aliaslab: %s analysis stopped early (%v); partial result is not sound", out.Final().Name, out.Stopped)
 	}
 	return res, nil
-}
-
-// resultFromGoverned adapts a degradation-pipeline outcome to the
-// public Result shape.
-func resultFromGoverned(p *Program, gr *core.GovernedResult, requested string) *Result {
-	res := &Result{
-		prog: p, ci: gr.CI, sets: gr.Sets, label: requested,
-		Degraded: gr.Degraded(), notes: gr.Notes,
-		TransferFns: gr.CI.Metrics.FlowIns, MeetOps: gr.CI.Metrics.FlowOuts,
-		Engine: engineStats(gr.CI.Engine),
-	}
-	if gr.CS != nil {
-		res.TransferFns = gr.CS.Metrics.FlowIns
-		res.MeetOps = gr.CS.Metrics.FlowOuts
-		res.Engine = engineStats(gr.CS.Engine)
-	}
-	if gr.Degraded() {
-		res.label = fmt.Sprintf("%s (degraded: %s)", requested, gr.Tier)
-	}
-	return res
 }
 
 // Label names the analysis that produced this result.
@@ -514,26 +433,14 @@ func Checkers() map[string]string {
 // Vet runs the pointer-bug checker suite: the program is rebuilt with
 // diagnostics instrumentation (marker locations for null/uninitialized
 // pointers, explicit deallocation events), analyzed context-
-// insensitively, and the selected checkers interpret the points-to
-// solution. With no arguments every checker runs. Diagnostics come
-// back in a deterministic order: by position, then checker, then
-// message.
-func (p *Program) Vet(checkerIDs ...string) ([]Diagnostic, error) {
-	diags, _, err := p.vet(limits.Budget{}, checkerIDs)
-	return diags, err
-}
-
-// VetLimited is Vet under a resource budget. The boolean reports
-// degradation: when the underlying points-to analysis hit the budget,
-// the diagnostics come from a partial (unsound) solution and are
-// best-effort only — findings may be missing.
-func (p *Program) VetLimited(ctx context.Context, lim Limits, checkerIDs ...string) ([]Diagnostic, bool, error) {
-	budget, cancel := lim.budget(ctx)
-	defer cancel()
-	return p.vet(budget, checkerIDs)
-}
-
-func (p *Program) vet(budget limits.Budget, checkerIDs []string) ([]Diagnostic, bool, error) {
+// insensitively under lim, and the selected checkers interpret the
+// points-to solution. With no checker IDs every checker runs.
+// Diagnostics come back in a deterministic order: by position, then
+// checker, then message. The boolean reports degradation: when the
+// analysis hit the budget, the diagnostics come from a partial
+// (unsound) solution and are best-effort only — findings may be
+// missing.
+func (p *Program) Vet(ctx context.Context, lim Limits, checkerIDs ...string) ([]Diagnostic, bool, error) {
 	sel, err := checkers.Select(checkerIDs)
 	if err != nil {
 		return nil, false, err
@@ -544,13 +451,15 @@ func (p *Program) vet(budget limits.Budget, checkerIDs []string) ([]Diagnostic, 
 	if err != nil {
 		return nil, false, fmt.Errorf("aliaslab: rebuilding for vet: %w", err)
 	}
-	sp := p.span("solve-ci")
-	res := core.AnalyzeInsensitiveBudgeted(u.Graph, budget)
-	core.AttachEngine(sp, res.Engine)
-	sp = p.span("checkers")
-	diags := checkers.Run(checkers.NewContext(u.Graph, res), sel)
-	sp.SetAttr(obs.Int("diags", len(diags)))
-	sp.End()
+	budget, cancel := lim.budget(ctx)
+	defer cancel()
+	sp := p.span("vet")
+	defer sp.End()
+	sol := analysis.Solve(u.Graph, analysis.Request{}, budget, 0, sp)
+	csp := sp.Child("checkers")
+	diags := checkers.Run(checkers.NewContext(u.Graph, sol.Result), sel)
+	csp.SetAttr(obs.Int("diags", len(diags)))
+	csp.End()
 	out := make([]Diagnostic, 0, len(diags))
 	for _, d := range diags {
 		pub := Diagnostic{
@@ -564,7 +473,7 @@ func (p *Program) vet(budget limits.Budget, checkerIDs []string) ([]Diagnostic, 
 		}
 		out = append(out, pub)
 	}
-	return out, res.Stopped != nil, nil
+	return out, sol.Degraded(), nil
 }
 
 // Compare reports how two results differ: the number of pairs in a but

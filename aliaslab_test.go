@@ -205,7 +205,8 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := prog.Vet()
+	ctx := context.Background()
+	diags, _, err := prog.Vet(ctx, aliaslab.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,17 +224,17 @@ int main(void) {
 	}
 
 	// Selecting a checker that cannot fire here yields no diagnostics.
-	none, err := prog.Vet("dangling")
+	none, _, err := prog.Vet(ctx, aliaslab.Limits{}, "dangling")
 	if err != nil || len(none) != 0 {
 		t.Fatalf("dangling on heap-only program: %v, err %v", none, err)
 	}
-	if _, err := prog.Vet("nosuch"); err == nil {
+	if _, _, err := prog.Vet(ctx, aliaslab.Limits{}, "nosuch"); err == nil {
 		t.Fatal("unknown checker must error")
 	}
 
 	// The vet rebuild must not perturb the paper's analysis results on
 	// the original program.
-	res, err := prog.Analyze(context.Background(), aliaslab.Config{})
+	res, err := prog.Analyze(ctx, aliaslab.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,5 +291,47 @@ func TestAnalyzeConfig(t *testing.T) {
 	res, err := prog.Analyze(ctx, aliaslab.Config{Backend: "andersen", Limits: aliaslab.Limits{MaxSteps: 1}})
 	if err == nil || res == nil || !res.Degraded || len(res.Notes()) == 0 {
 		t.Fatalf("stopped andersen solve: res %v, err %v; want a degraded partial result and an error", res, err)
+	}
+}
+
+// TestAnalyzeTraceShape pins the span tree a traced Program records:
+// the front end under the unit root, then one root per call — "solve"
+// with a child per solve attempt for Analyze on every backend and
+// budget, "vet" with the solve and the checkers for Vet.
+func TestAnalyzeTraceShape(t *testing.T) {
+	tr := aliaslab.NewTrace()
+	prog, err := aliaslab.ParseProgramTraced("demo.c", demo, aliaslab.Options{}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, cfg := range []aliaslab.Config{
+		{},
+		{Backend: "cs"},
+		{Backend: "andersen", Limits: aliaslab.Limits{MaxSteps: 1_000_000}},
+		{Backend: "steensgaard"},
+	} {
+		if _, err := prog.Analyze(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := prog.Vet(ctx, aliaslab.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	var shape []string
+	for _, line := range strings.Split(strings.TrimRight(tr.Text(), "\n"), "\n") {
+		name, _, _ := strings.Cut(line, " dur=")
+		shape = append(shape, name)
+	}
+	want := []string{
+		"unit", "  lex", "  parse", "  sema", "  vdg",
+		"solve", "  solve-ci",
+		"solve", "  solve-ci", "  solve-cs",
+		"solve", "  solve-andersen",
+		"solve", "  solve-steensgaard",
+		"vet", "  solve-ci", "  checkers",
+	}
+	if got := strings.Join(shape, "\n"); got != strings.Join(want, "\n") {
+		t.Errorf("trace shape:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
 }

@@ -41,7 +41,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,9 +49,8 @@ import (
 	"sort"
 	"strings"
 
+	"aliaslab/internal/analysis"
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
@@ -62,7 +61,6 @@ import (
 	"aliaslab/internal/query"
 	"aliaslab/internal/report"
 	"aliaslab/internal/sched"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -74,7 +72,7 @@ func main() {
 // config is the per-unit part of the CLI configuration: everything
 // analyzeUnit needs once a unit is loaded.
 type config struct {
-	analysis string
+	req      analysis.Request
 	print    string
 	fn       string
 	vet      bool
@@ -82,7 +80,6 @@ type config struct {
 	format   string
 	query    string
 	budget   limits.Budget
-	strategy solver.Strategy
 	stats    bool
 
 	// span is the unit's trace span (nil when untraced); analyzeUnit
@@ -95,7 +92,7 @@ type config struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aliaslab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	analysis := fs.String("analysis", "ci", "analysis to run: ci, cs, or baseline (the Andersen backend)")
+	analysisFlag := fs.String("analysis", "ci", "analysis to run: ci, cs, or baseline (the Andersen backend)")
 	backendFlag := fs.String("backend", "", "points-to backend: ci (default), cs, andersen, or steensgaard")
 	print_ := fs.String("print", "indirect", "what to print: pointsto, indirect, modref, callgraph, sizes, json, dot")
 	fn := fs.String("fn", "main", "function to render with -print dot")
@@ -123,45 +120,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	strategy, err := solver.ParseStrategy(*worklist)
-	if err != nil {
+	// -analysis and -backend name one analysis; baseline is the
+	// Andersen backend on plain builds (Weihl's program-wide analysis
+	// computes exactly its pair sets), and -vet keeps refusing it.
+	name := *analysisFlag
+	if name == "baseline" && !*vet {
+		name = "andersen"
+	}
+	picked := name
+	if *backendFlag != "" {
+		name = *backendFlag
+	}
+	// A bad -backend name is a usage error; a bad -analysis name gets
+	// the wording of the mode that cannot run it (badName, below).
+	req, err := analysis.Parse(name, *worklist)
+	var unknown *backend.NameError
+	badName := errors.As(err, &unknown)
+	if err != nil && (!badName || *backendFlag != "") {
 		fmt.Fprintln(stderr, "aliaslab:", err)
+		if badName {
+			fmt.Fprintln(stderr, "usage: aliaslab [flags] file.c ...  (or -corpus <name>)")
+		}
 		return 2
 	}
-
-	// Weihl's program-wide baseline computes exactly the Andersen
-	// backend's pair sets on plain builds; -vet keeps refusing it.
-	if *analysis == "baseline" && !*vet {
-		*analysis = "andersen"
-	}
-
-	// -backend is the frontier-wide selector; it resolves onto the same
-	// analysis switch -analysis drives. The two flags may not disagree.
 	if *backendFlag != "" {
-		kind, err := backend.ParseKind(*backendFlag)
-		if err != nil {
-			fmt.Fprintln(stderr, "aliaslab:", err)
-			fmt.Fprintln(stderr, "usage: aliaslab [flags] file.c ...  (or -corpus <name>)")
-			return 2
-		}
 		analysisSet := false
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "analysis" {
 				analysisSet = true
 			}
 		})
-		if analysisSet && *analysis != kind.String() {
-			fmt.Fprintf(stderr, "aliaslab: -analysis %s conflicts with -backend %s; pass only one\n", *analysis, kind)
-			return 2
-		}
-		*analysis = kind.String()
-	}
-	// Backend/worklist compatibility is validated in one typed place
-	// (internal/backend) shared with the facade and the server, so every
-	// entry point rejects the combination identically.
-	if kind, err := backend.ParseKind(*analysis); err == nil {
-		if err := backend.ValidateWorklist(kind, *worklist); err != nil {
-			fmt.Fprintln(stderr, "aliaslab:", err)
+		if analysisSet && picked != req.Kind.String() {
+			fmt.Fprintf(stderr, "aliaslab: -analysis %s conflicts with -backend %s; pass only one\n", *analysisFlag, req.Kind)
 			return 2
 		}
 	}
@@ -170,8 +160,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// another backend or the checkers would promise a result the query
 	// engine does not compute.
 	if *queryFlag != "" {
-		if *analysis != "ci" {
-			fmt.Fprintf(stderr, "aliaslab: -query answers on the ci analysis, not %s\n", *analysis)
+		if badName || req.Kind != backend.CI {
+			fmt.Fprintf(stderr, "aliaslab: -query answers on the ci analysis, not %s\n", name)
 			return 2
 		}
 		if *vet {
@@ -183,12 +173,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-
 	if *vet && *checkersFlag == "help" {
 		for _, c := range checkers.All {
 			fmt.Fprintf(stdout, "%-10s %s\n", c.ID, c.Doc)
 		}
 		return 0
+	}
+
+	// The checkers interpret a CI-shaped solution; the context-sensitive
+	// result lacks the call-graph shape vet needs, and the baseline is
+	// Andersen only on plain builds, not on vet's diagnostics builds.
+	if *vet && (badName || req.Kind == backend.CS) {
+		fmt.Fprintf(stderr, "aliaslab: -vet runs on the ci, andersen, or steensgaard backend, not %s\n", name)
+		return 2
+	}
+	if badName {
+		fmt.Fprintln(stderr, "aliaslab: unknown analysis", name)
+		return 2
 	}
 
 	// Observability: all of it hangs off a nil tracer when unused, so
@@ -227,7 +228,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	budget := limits.Budget{Ctx: ctx, MaxSteps: maxSteps, MaxPairs: *maxPairs}
 
 	cfg := config{
-		analysis: *analysis,
+		req:      req,
 		print:    *print_,
 		fn:       *fn,
 		vet:      *vet,
@@ -235,7 +236,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format:   *format,
 		query:    *queryFlag,
 		budget:   budget,
-		strategy: strategy,
 		stats:    *statsFlag,
 	}
 
@@ -367,67 +367,19 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		return runQuery(u, cfg, stdout, stderr)
 	}
 
-	// Run the selected analysis under the budget, always materializing a
-	// per-output pair map plus a CI result for clients that need the
-	// call graph. Blowing the budget degrades (CS widens, then falls
-	// back to CI) rather than failing; the label carries the tier so the
-	// output cannot be mistaken for the exact answer.
-	var ci *core.Result
-	var sets map[*vdg.Output]*core.PairSet
-	var label string
-	unsound := false
-	switch cfg.analysis {
-	case "ci", "cs":
-		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
-			Budget:    cfg.budget,
-			Sensitive: cfg.analysis == "cs",
-			Strategy:  cfg.strategy,
-			Span:      cfg.span,
-		})
-		ci, sets = gr.CI, gr.Sets
-		if cfg.stats {
-			printEngineStats(stderr, "ci", gr.CI.Engine)
-			if gr.CS != nil {
-				printEngineStats(stderr, "cs", gr.CS.Engine)
-			}
-		}
-		label = "context-insensitive"
-		if cfg.analysis == "cs" {
-			label = "context-sensitive"
-		}
-		if gr.Degraded() {
-			for _, n := range gr.Notes {
-				fmt.Fprintln(stderr, "aliaslab:", n)
-			}
-			label += " (degraded: " + gr.Tier.String() + ")"
-		}
-		if !gr.Tier.Sound() {
-			unsound = true
-			fmt.Fprintln(stderr, "aliaslab: warning: partial context-insensitive fixpoint; the result under-approximates and is NOT a sound may-alias answer")
-		}
-	case "andersen", "steensgaard":
-		sp := cfg.span.Child("solve-" + cfg.analysis)
-		var res *core.Result
-		if cfg.analysis == "andersen" {
-			res = andersen.AnalyzeEngine(u.Graph, cfg.budget, cfg.strategy)
-			label = "andersen (inclusion-based)"
-		} else {
-			res = steensgaard.AnalyzeBudgeted(u.Graph, cfg.budget)
-			label = "steensgaard (unification-based)"
-		}
-		core.AttachEngine(sp, res.Engine)
-		sp.End()
-		ci, sets = res, res.Sets
-		if cfg.stats {
-			printEngineStats(stderr, cfg.analysis, res.Engine)
-		}
-		if res.Stopped != nil {
-			unsound = true
-			fmt.Fprintf(stderr, "aliaslab: warning: %s solve stopped early (%v); the partial result under-approximates and is NOT a sound may-alias answer\n", cfg.analysis, res.Stopped)
-		}
-	default:
-		fmt.Fprintln(stderr, "aliaslab: unknown analysis", cfg.analysis)
-		return 2
+	// Run the selected analysis under the budget. Blowing the budget
+	// degrades (CS widens, then falls back to CI) rather than failing;
+	// the label carries the tier so the output cannot be mistaken for
+	// the exact answer.
+	out := analysis.Solve(u.Graph, cfg.req, cfg.budget, 0, cfg.span)
+	if cfg.stats {
+		printEngineStats(stderr, out.Runs)
+	}
+	for _, n := range out.Notes {
+		fmt.Fprintln(stderr, "aliaslab:", n)
+	}
+	if !out.Sound {
+		fmt.Fprintln(stderr, "aliaslab: warning: partial fixpoint; the result under-approximates and is NOT a sound may-alias answer")
 	}
 
 	rsp := cfg.span.Child("report", obs.Str("print", cfg.print))
@@ -438,18 +390,18 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s: %d lines, %d VDG nodes, %d alias-related outputs\n",
 			s.Name, s.Lines, s.Nodes, s.AliasOutputs)
 	case "pointsto":
-		printPointsTo(stdout, u, sets, label)
+		printPointsTo(stdout, u, out.Sets, out.Label)
 	case "indirect":
-		printIndirect(stdout, u, sets, label)
+		printIndirect(stdout, u, out.Sets, out.Label)
 	case "json":
-		if err := printJSON(stdout, u, sets, label); err != nil {
+		if err := report.WriteJSON(stdout, report.NewSolution(u.Name, u.Graph, out.Sets, out.Label, nil)); err != nil {
 			fmt.Fprintln(stderr, "aliaslab:", err)
 			return 1
 		}
 	case "modref":
-		printModRef(stdout, u, ci)
+		printModRef(stdout, u, out.Result)
 	case "callgraph":
-		printCallGraph(stdout, u, ci)
+		printCallGraph(stdout, u, out.Result)
 	case "dot":
 		fg := u.Graph.FuncOf[u.Prog.FuncMap[cfg.fn]]
 		if fg == nil {
@@ -461,7 +413,7 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "aliaslab: unknown -print mode", cfg.print)
 		return 2
 	}
-	if unsound {
+	if !out.Sound {
 		return 1
 	}
 	return 0
@@ -488,38 +440,18 @@ func runVet(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	}
 	// The checkers interpret any CI-shaped points-to solution, so the
 	// flow-insensitive backends plug straight in (coarser referent sets
-	// mean more may-findings, never fewer). The context-sensitive
-	// result lacks the call-graph shape vet needs, and the baseline is
-	// Andersen only on plain builds, not on vet's diagnostics builds.
-	var res *core.Result
-	statsName := cfg.analysis
-	switch cfg.analysis {
-	case "ci":
-		sp := cfg.span.Child("solve-ci")
-		res = core.AnalyzeInsensitiveEngine(u.Graph, cfg.budget, cfg.strategy)
-		core.AttachEngine(sp, res.Engine)
-	case "andersen":
-		sp := cfg.span.Child("solve-andersen")
-		res = andersen.AnalyzeEngine(u.Graph, cfg.budget, cfg.strategy)
-		core.AttachEngine(sp, res.Engine)
-	case "steensgaard":
-		sp := cfg.span.Child("solve-steensgaard")
-		res = steensgaard.AnalyzeBudgeted(u.Graph, cfg.budget)
-		core.AttachEngine(sp, res.Engine)
-	default:
-		fmt.Fprintf(stderr, "aliaslab: -vet runs on the ci, andersen, or steensgaard backend, not %s\n", cfg.analysis)
-		return 2
-	}
+	// mean more may-findings, never fewer).
+	out := analysis.Solve(u.Graph, cfg.req, cfg.budget, 0, cfg.span)
 	if cfg.stats {
-		printEngineStats(stderr, statsName, res.Engine)
+		printEngineStats(stderr, out.Runs)
 	}
 	sp := cfg.span.Child("checkers")
-	diags := checkers.Run(checkers.NewContext(u.Graph, res), sel)
+	diags := checkers.Run(checkers.NewContext(u.Graph, out.Result), sel)
 	sp.SetAttr(obs.Int("diags", len(diags)))
 	sp.End()
 	degradedReason := ""
-	if res.Stopped != nil {
-		degradedReason = res.Stopped.Error()
+	if out.Stopped != nil {
+		degradedReason = out.Stopped.Error()
 		fmt.Fprintf(stderr, "aliaslab: warning: vet ran on a partial points-to solution (%s); findings may be missing\n", degradedReason)
 	}
 	rsp := cfg.span.Child("report", obs.Str("format", cfg.format))
@@ -559,7 +491,7 @@ func runQuery(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "aliaslab:", err)
 		return 2
 	}
-	e := query.New(u.Graph, query.Options{Budget: cfg.budget, Strategy: cfg.strategy})
+	e := query.New(u.Graph, query.Options{Budget: cfg.budget, Strategy: cfg.req.Strategy})
 	answers := make([]query.Answer, 0, len(qs))
 	degraded := false
 	for _, q := range qs {
@@ -586,9 +518,7 @@ func runQuery(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, renderAnswer(a))
 		}
 	case "json":
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(answers); err != nil {
+		if err := report.WriteJSON(stdout, answers); err != nil {
 			fmt.Fprintln(stderr, "aliaslab:", err)
 			return 1
 		}
@@ -620,18 +550,21 @@ func renderAnswer(a query.Answer) string {
 	}
 }
 
-// printEngineStats renders one analysis run's solver counters on
+// printEngineStats renders each engine run's solver counters on
 // stderr (it is diagnostics, not part of the result rendering).
-func printEngineStats(w io.Writer, analysis string, st solver.Stats) {
-	fmt.Fprintf(w, "aliaslab: %s engine [%s]: steps %d, meets %d, pair inserts %d, subsume hits %d, subsume drops %d, enqueued %d, peak depth %d",
-		analysis, st.Strategy, st.Steps, st.Meets, st.PairInserts, st.SubsumeHits, st.SubsumeDrops, st.Enqueued, st.PeakDepth)
-	if st.Constraints > 0 {
-		// Constraint-backend runs carry their own counters; CI/CS lines
-		// stay byte-identical to the pre-backend output.
-		fmt.Fprintf(w, ", constraints %d, edges %d, sccs collapsed %d, unions %d",
-			st.Constraints, st.EdgesAdded, st.SCCsCollapsed, st.Unions)
+func printEngineStats(w io.Writer, runs []analysis.Run) {
+	for _, r := range runs {
+		st := r.Stats
+		fmt.Fprintf(w, "aliaslab: %s engine [%s]: steps %d, meets %d, pair inserts %d, subsume hits %d, subsume drops %d, enqueued %d, peak depth %d",
+			r.Name, st.Strategy, st.Steps, st.Meets, st.PairInserts, st.SubsumeHits, st.SubsumeDrops, st.Enqueued, st.PeakDepth)
+		if st.Constraints > 0 {
+			// Constraint-backend runs carry their own counters; CI/CS
+			// lines stay byte-identical to the pre-backend output.
+			fmt.Fprintf(w, ", constraints %d, edges %d, sccs collapsed %d, unions %d",
+				st.Constraints, st.EdgesAdded, st.SCCsCollapsed, st.Unions)
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
 }
 
 // printPointsTo dumps the final store at main's return: the pairs a
@@ -686,61 +619,6 @@ func printIndirect(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairS
 	fmt.Fprintf(w, "reads: %d ops avg %.2f max %d; writes: %d ops avg %.2f max %d\n",
 		ops.Reads.Total, ops.Reads.Avg(), ops.Reads.Max,
 		ops.Writes.Total, ops.Writes.Avg(), ops.Writes.Max)
-}
-
-// printJSON renders one unit's solution as deterministic JSON: the
-// label, the pair census, the Figure 4 indirect-operation summary, and
-// the sorted store at main's return. One shape for every backend, so
-// frontier points diff structurally.
-func printJSON(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairSet, label string) error {
-	census := stats.Census(u.Graph, sets)
-	ops := stats.CountIndirect(u.Graph, sets)
-	type opsJSON struct {
-		Ops int     `json:"ops"`
-		Avg float64 `json:"avgReferents"`
-		Max int     `json:"maxReferents"`
-	}
-	type pairJSON struct {
-		Path string `json:"path"`
-		Ref  string `json:"referent"`
-	}
-	out := struct {
-		Unit   string `json:"unit"`
-		Label  string `json:"label"`
-		Census struct {
-			Total     int `json:"total"`
-			Pointer   int `json:"pointer"`
-			Function  int `json:"function"`
-			Aggregate int `json:"aggregate"`
-			Store     int `json:"store"`
-		} `json:"pairs"`
-		Reads       opsJSON    `json:"reads"`
-		Writes      opsJSON    `json:"writes"`
-		StoreAtExit []pairJSON `json:"storeAtExit"`
-	}{Unit: u.Name, Label: label}
-	out.Census.Total = census.Total
-	out.Census.Pointer = census.Pointer
-	out.Census.Function = census.Function
-	out.Census.Aggregate = census.Aggregate
-	out.Census.Store = census.Store
-	out.Reads = opsJSON{Ops: ops.Reads.Total, Avg: ops.Reads.Avg(), Max: ops.Reads.Max}
-	out.Writes = opsJSON{Ops: ops.Writes.Total, Avg: ops.Writes.Avg(), Max: ops.Writes.Max}
-	if u.Graph.Entry != nil && u.Graph.Entry.ReturnStore() != nil {
-		if s := sets[u.Graph.Entry.ReturnStore()]; s != nil {
-			for _, p := range s.Sorted() {
-				out.StoreAtExit = append(out.StoreAtExit, pairJSON{Path: p.Path.String(), Ref: p.Ref.String()})
-			}
-			sort.Slice(out.StoreAtExit, func(i, j int) bool {
-				if out.StoreAtExit[i].Path != out.StoreAtExit[j].Path {
-					return out.StoreAtExit[i].Path < out.StoreAtExit[j].Path
-				}
-				return out.StoreAtExit[i].Ref < out.StoreAtExit[j].Ref
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // printModRef renders the transitive mod/ref sets per function, each

@@ -29,7 +29,7 @@ func FuzzVet(f *testing.F) {
 		if err != nil {
 			return // front-end diagnostics: expected on arbitrary input
 		}
-		diags, _, err := prog.VetLimited(context.Background(), aliaslab.Limits{
+		diags, _, err := prog.Vet(context.Background(), aliaslab.Limits{
 			Timeout:  5 * time.Second,
 			MaxSteps: 20_000,
 			MaxPairs: 50_000,

@@ -1,7 +1,6 @@
 package backend_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -202,29 +201,6 @@ int main(void) {
 	ci := core.AnalyzeInsensitive(u.Graph)
 	for _, v := range oracle.SubsetPerOutput("scc", "ci-subset-andersen", u.Graph, ci.Sets, res.Sets) {
 		t.Errorf("%s", v)
-	}
-}
-
-// ValidateWorklist is the single typed seam every entry point (facade,
-// CLIs, server) uses to reject a worklist aimed at the unification
-// backend; the other three backends all schedule a worklist.
-func TestValidateWorklist(t *testing.T) {
-	for _, k := range backend.Kinds() {
-		if err := backend.ValidateWorklist(k, ""); err != nil {
-			t.Errorf("%s with default worklist: %v", k, err)
-		}
-		err := backend.ValidateWorklist(k, "lifo")
-		if k == backend.Steensgaard {
-			var we *backend.WorklistError
-			if !errors.As(err, &we) {
-				t.Fatalf("steensgaard+lifo: got %v, want *WorklistError", err)
-			}
-			if we.Worklist != "lifo" || !strings.Contains(we.Error(), "no worklist to schedule") {
-				t.Errorf("WorklistError shape: %+v (%s)", we, we)
-			}
-		} else if err != nil {
-			t.Errorf("%s with lifo: %v", k, err)
-		}
 	}
 }
 

@@ -164,20 +164,35 @@ func TestBatchSharedBudget(t *testing.T) {
 
 // TestBatchSharedBudgetPoolsAcrossWorkers: the same cap trips no matter
 // the worker count — the ledger sums work across workers rather than
-// giving each worker its own allowance.
+// giving each worker its own allowance. How many units finish before
+// the ledger trips depends on scheduling; under load none may, and
+// RunBatch then reports that every unit failed. Either way each
+// failure must be the shared-budget violation or a skip it caused.
 func TestBatchSharedBudgetPoolsAcrossWorkers(t *testing.T) {
 	rs, err := experiments.RunBatch(corpus.Names(), experiments.BatchOptions{
 		Jobs:   8,
 		Budget: limits.Budget{MaxSteps: 2000},
 	})
-	if err != nil {
+	if rs == nil {
 		t.Fatal(err)
 	}
 	failed := 0
 	for _, r := range rs {
-		if r.Failed() {
-			failed++
+		if !r.Failed() {
+			continue
 		}
+		failed++
+		var v *limits.Violation
+		if se, ok := sched.Skipped(r.Err); ok {
+			if !errors.As(se.Cause, &v) {
+				t.Errorf("%s: skip cause is not the budget violation: %v", r.Name, se.Cause)
+			}
+		} else if r.Stopped == nil || r.Stopped.Reason != limits.Steps {
+			t.Errorf("%s: failed for something other than the shared step budget: %v", r.Name, r.Err)
+		}
+	}
+	if err != nil && failed != len(rs) {
+		t.Errorf("RunBatch error %v with only %d of %d units failed", err, failed, len(rs))
 	}
 	if failed == 0 {
 		t.Fatal("a 2000-step batch budget was never exhausted at jobs=8; workers are not sharing the ledger")

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -64,15 +63,13 @@ func WriteDiagsJSONDegraded(w io.Writer, diags []checkers.Diag, reason string) e
 // plain healthy-run array.
 func WriteDiagsEnvelope(w io.Writer, diags []checkers.Diag, env *Envelope) error {
 	out := buildDiagsJSON(diags)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	if env != nil {
-		return enc.Encode(struct {
+		return WriteJSON(w, struct {
 			Envelope
 			Diagnostics []diagJSON `json:"diagnostics"`
 		}{*env, out})
 	}
-	return enc.Encode(out)
+	return WriteJSON(w, out)
 }
 
 func buildDiagsJSON(diags []checkers.Diag) []diagJSON {

@@ -22,13 +22,14 @@ type Envelope struct {
 	Reason string `json:"reason"`
 
 	// Tier names the degradation ladder rung that answered: "widened",
-	// "ci-fallback", or "partial-ci" (see core.Tier). Empty when the
-	// producer does not distinguish tiers.
+	// "ci-fallback", or "partial-ci" (see core.Tier), or "partial" for a
+	// stopped andersen/steensgaard solve. Empty when the producer does
+	// not distinguish tiers.
 	Tier string `json:"tier,omitempty"`
 
 	// Sound is three-valued by omission: nil means the producer did not
 	// say; otherwise it reports whether the degraded sets still
-	// over-approximate the exact answer (false only for a partial CI
+	// over-approximate the exact answer (false only for a partial
 	// fixpoint, whose result must not be used as a may-alias answer).
 	Sound *bool `json:"sound,omitempty"`
 

@@ -7,16 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"aliaslab/internal/analysis"
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/checkers"
-	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/driver"
 	"aliaslab/internal/faults"
@@ -24,8 +21,6 @@ import (
 	"aliaslab/internal/obs"
 	"aliaslab/internal/query"
 	"aliaslab/internal/report"
-	"aliaslab/internal/solver"
-	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
 
@@ -92,8 +87,7 @@ type request struct {
 type job struct {
 	mode     mode
 	req      request
-	kind     backend.Kind
-	strategy solver.Strategy
+	analysis analysis.Request
 	source   string // canonicalized; empty for corpus jobs
 
 	maxSteps, maxPairs int
@@ -112,9 +106,7 @@ func errorResponse(status int, format string, args ...any) *response {
 
 func jsonResponse(status int, v any) *response {
 	var buf strings.Builder
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := report.WriteJSON(&buf, v); err != nil {
 		return &response{status: http.StatusInternalServerError,
 			body: []byte(`{"error":"response encoding failed"}` + "\n")}
 	}
@@ -216,21 +208,14 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 		}
 	}
 
-	kind, err := backend.ParseKind(req.Backend)
+	ar, err := analysis.Parse(req.Backend, req.Worklist)
 	if err != nil {
 		return nil, errorResponse(http.StatusBadRequest, "%v", err)
 	}
-	if m == modeVet && kind == backend.CS {
+	if m == modeVet && ar.Kind == backend.CS {
 		// Mirrors the CLI: the checkers interpret CI-shaped solutions.
 		return nil, errorResponse(http.StatusBadRequest,
 			"vet runs on the ci, andersen, or steensgaard backend, not cs")
-	}
-	if err := backend.ValidateWorklist(kind, req.Worklist); err != nil {
-		return nil, errorResponse(http.StatusBadRequest, "%v", err)
-	}
-	strategy, err := solver.ParseStrategy(req.Worklist)
-	if err != nil {
-		return nil, errorResponse(http.StatusBadRequest, "%v", err)
 	}
 	if m == modeVet {
 		if _, err := checkers.Select(req.Checkers); err != nil {
@@ -243,11 +228,11 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 		if len(req.Queries) == 0 {
 			return nil, errorResponse(http.StatusBadRequest, "queries must not be empty")
 		}
-		if kind != backend.CI {
+		if ar.Kind != backend.CI {
 			// Demand slicing solves the ci transfer functions; other
 			// backends have no demand host.
 			return nil, errorResponse(http.StatusBadRequest,
-				"queries run on the ci backend, not %s", kind)
+				"queries run on the ci backend, not %s", ar.Kind)
 		}
 		for _, src := range req.Queries {
 			if _, err := query.ParseAll(src); err != nil {
@@ -258,8 +243,7 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 		return nil, errorResponse(http.StatusBadRequest, "queries apply to /v1/query only")
 	}
 
-	j := &job{mode: m, req: req, kind: kind, strategy: strategy,
-		source: canonicalize(req.Source)}
+	j := &job{mode: m, req: req, analysis: ar, source: canonicalize(req.Source)}
 	if j.maxSteps, err = s.headerCap(r, hdrMaxSteps, s.cfg.MaxSteps); err != nil {
 		return nil, errorResponse(http.StatusBadRequest, "%v", err)
 	}
@@ -318,8 +302,8 @@ func (j *job) key() cacheKey {
 		h.Write([]byte(s))
 	}
 	put(j.mode.String())
-	put(j.kind.String())
-	put(j.strategy.String())
+	put(j.analysis.Kind.String())
+	put(j.analysis.Strategy.String())
 	put(strings.Join(j.req.Checkers, ","))
 	put(strings.Join(j.req.Queries, "\x00"))
 	put(strconv.Itoa(j.maxSteps))
@@ -399,125 +383,42 @@ func (s *Server) exhausted(err error) *response { return s.exhaustedIn(err, "") 
 // exhaustedIn is exhausted with the answer mode recorded in the
 // envelope, so a blown query stays distinguishable.
 func (s *Server) exhaustedIn(err error, mode string) *response {
+	return s.unavailable(report.DegradedEnvelope(err.Error(), "").WithSound(false).WithMode(mode))
+}
+
+// unavailable is the 503 of a blown budget, with env saying why.
+func (s *Server) unavailable(env report.Envelope) *response {
 	s.degraded.Add(1)
-	env := report.DegradedEnvelope(err.Error(), "").WithSound(false).WithMode(mode)
 	resp := jsonResponse(http.StatusServiceUnavailable,
-		errorBody{Error: "analysis budget exhausted: " + err.Error(), Degradation: &env})
+		errorBody{Error: "analysis budget exhausted: " + env.Reason, Degradation: &env})
 	resp.retryAfter = 1
 	return resp
 }
 
-// analyzeBody mirrors the CLI's -print json shape, plus the shared
-// degradation envelope when the answer is not the full one.
-type analyzeBody struct {
-	Unit   string `json:"unit"`
-	Label  string `json:"label"`
-	Census struct {
-		Total     int `json:"total"`
-		Pointer   int `json:"pointer"`
-		Function  int `json:"function"`
-		Aggregate int `json:"aggregate"`
-		Store     int `json:"store"`
-	} `json:"pairs"`
-	Reads       opsJSON          `json:"reads"`
-	Writes      opsJSON          `json:"writes"`
-	StoreAtExit []pairJSON       `json:"storeAtExit"`
-	Degradation *report.Envelope `json:"degradation,omitempty"`
-}
-
-type opsJSON struct {
-	Ops int     `json:"ops"`
-	Avg float64 `json:"avgReferents"`
-	Max int     `json:"maxReferents"`
-}
-
-type pairJSON struct {
-	Path string `json:"path"`
-	Ref  string `json:"referent"`
-}
-
-// runAnalyze solves the requested backend and renders the solution.
+// runAnalyze solves the requested backend and renders the solution in
+// the CLI's -print json shape, plus the shared degradation envelope
+// when the answer is not the full one.
 func (s *Server) runAnalyze(j *job, u *driver.Unit, budget limits.Budget) *response {
-	var sets map[*vdg.Output]*core.PairSet
-	var label string
+	out := analysis.Solve(u.Graph, j.analysis, budget, 0, nil)
 	var env *report.Envelope
 	status := http.StatusOK
-
-	switch j.kind {
-	case backend.CI, backend.CS:
-		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
-			Budget:    budget,
-			Sensitive: j.kind == backend.CS,
-			Strategy:  j.strategy,
-		})
-		label = "context-insensitive"
-		if j.kind == backend.CS {
-			label = "context-sensitive"
+	if out.Degraded() {
+		e := report.DegradedEnvelope(out.Stopped.Error(), out.Tier).WithSound(out.Sound)
+		e.Notes = out.Notes
+		if !out.Sound {
+			// A partial fixpoint under-approximates; serving its sets as
+			// a may-alias answer would be a lie.
+			return s.unavailable(e)
 		}
-		if gr.Degraded() {
-			s.degraded.Add(1)
-			label += " (degraded: " + gr.Tier.String() + ")"
-			e := report.DegradedEnvelope(gr.Stopped.Error(), gr.Tier.String()).WithSound(gr.Tier.Sound())
-			e.Notes = gr.Notes
-			env = &e
-			if !gr.Tier.Sound() {
-				// A partial CI fixpoint under-approximates; serving its
-				// sets as a may-alias answer would be a lie.
-				resp := jsonResponse(http.StatusServiceUnavailable, errorBody{
-					Error:       "analysis budget exhausted: " + gr.Stopped.Error(),
-					Degradation: env,
-				})
-				resp.retryAfter = 1
-				return resp
-			}
-			status = http.StatusPartialContent
-		}
-		sets = gr.Sets
-	default: // Andersen, Steensgaard
-		var res *core.Result
-		if j.kind == backend.Andersen {
-			res = andersen.AnalyzeEngine(u.Graph, budget, j.strategy)
-			label = "andersen (inclusion-based)"
-		} else {
-			res = steensgaard.AnalyzeBudgeted(u.Graph, budget)
-			label = "steensgaard (unification-based)"
-		}
-		if res.Stopped != nil {
-			// The flow-insensitive backends have no degradation ladder: a
-			// tripped budget leaves only an unsound partial solution.
-			return s.exhausted(res.Stopped)
-		}
-		sets = res.Sets
+		s.degraded.Add(1)
+		env = &e
+		status = http.StatusPartialContent
 	}
 
 	if err := s.faults.Hit("render"); err != nil {
 		return s.exhausted(err)
 	}
-	body := analyzeBody{Unit: u.Name, Label: label, Degradation: env}
-	census := stats.Census(u.Graph, sets)
-	body.Census.Total = census.Total
-	body.Census.Pointer = census.Pointer
-	body.Census.Function = census.Function
-	body.Census.Aggregate = census.Aggregate
-	body.Census.Store = census.Store
-	ops := stats.CountIndirect(u.Graph, sets)
-	body.Reads = opsJSON{Ops: ops.Reads.Total, Avg: ops.Reads.Avg(), Max: ops.Reads.Max}
-	body.Writes = opsJSON{Ops: ops.Writes.Total, Avg: ops.Writes.Avg(), Max: ops.Writes.Max}
-	if u.Graph.Entry != nil && u.Graph.Entry.ReturnStore() != nil {
-		if set := sets[u.Graph.Entry.ReturnStore()]; set != nil {
-			for _, p := range set.Sorted() {
-				body.StoreAtExit = append(body.StoreAtExit, pairJSON{Path: p.Path.String(), Ref: p.Ref.String()})
-			}
-			sort.Slice(body.StoreAtExit, func(i, k int) bool {
-				if body.StoreAtExit[i].Path != body.StoreAtExit[k].Path {
-					return body.StoreAtExit[i].Path < body.StoreAtExit[k].Path
-				}
-				return body.StoreAtExit[i].Ref < body.StoreAtExit[k].Ref
-			})
-		}
-	}
-
-	resp := jsonResponse(status, body)
+	resp := jsonResponse(status, report.NewSolution(u.Name, u.Graph, out.Sets, out.Label, env))
 	resp.cacheable = status == http.StatusOK
 	return resp
 }
@@ -542,7 +443,7 @@ func (s *Server) runQuery(j *job, u *driver.Unit, budget limits.Budget) *respons
 	if err := s.faults.Hit("query"); err != nil {
 		return s.exhaustedIn(err, "query")
 	}
-	e := query.New(u.Graph, query.Options{Budget: budget, Strategy: j.strategy, Registry: s.reg})
+	e := query.New(u.Graph, query.Options{Budget: budget, Strategy: j.analysis.Strategy, Registry: s.reg})
 	var answers []query.Answer
 	for _, src := range j.req.Queries {
 		qs, err := query.ParseAll(src) // re-parse; validated in parse()
@@ -556,14 +457,7 @@ func (s *Server) runQuery(j *job, u *driver.Unit, budget limits.Budget) *respons
 				return errorResponse(http.StatusBadRequest, "%v", err)
 			}
 			if ans.Degraded() {
-				s.degraded.Add(1)
-				env := report.DegradedEnvelope(ans.Reason, "").WithSound(false).WithMode("query")
-				resp := jsonResponse(http.StatusServiceUnavailable, errorBody{
-					Error:       "analysis budget exhausted: " + ans.Reason,
-					Degradation: &env,
-				})
-				resp.retryAfter = 1
-				return resp
+				return s.unavailable(report.DegradedEnvelope(ans.Reason, "").WithSound(false).WithMode("query"))
 			}
 			answers = append(answers, ans)
 		}
@@ -584,30 +478,22 @@ func (s *Server) runQuery(j *job, u *driver.Unit, budget limits.Budget) *respons
 // JSON uses: findings may be missing, a clean report certifies
 // nothing.
 func (s *Server) runVet(j *job, u *driver.Unit, budget limits.Budget) *response {
-	var res *core.Result
-	switch j.kind {
-	case backend.Andersen:
-		res = andersen.AnalyzeEngine(u.Graph, budget, j.strategy)
-	case backend.Steensgaard:
-		res = steensgaard.AnalyzeBudgeted(u.Graph, budget)
-	default: // backend.CI; CS was rejected at parse
-		res = core.AnalyzeInsensitiveEngine(u.Graph, budget, j.strategy)
-	}
+	out := analysis.Solve(u.Graph, j.analysis, budget, 0, nil) // cs was rejected at parse
 	sel, err := checkers.Select(j.req.Checkers)
 	if err != nil {
 		return errorResponse(http.StatusBadRequest, "%v", err)
 	}
-	diags := checkers.Run(checkers.NewContext(u.Graph, res), sel)
+	diags := checkers.Run(checkers.NewContext(u.Graph, out.Result), sel)
 
 	if err := s.faults.Hit("render"); err != nil {
 		return s.exhausted(err)
 	}
 	var env *report.Envelope
 	status := http.StatusOK
-	if res.Stopped != nil {
+	if out.Stopped != nil {
 		s.degraded.Add(1)
 		status = http.StatusPartialContent
-		e := report.DegradedEnvelope(res.Stopped.Error(), "")
+		e := report.DegradedEnvelope(out.Stopped.Error(), "")
 		e.Notes = []string{"vet ran on a partial points-to solution; findings may be missing"}
 		env = &e
 	}

@@ -36,7 +36,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -46,6 +45,7 @@ import (
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/faults"
 	"aliaslab/internal/obs"
+	"aliaslab/internal/report"
 	"aliaslab/internal/sched"
 )
 
@@ -213,9 +213,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.Gauge("server.inflight", obs.Volatile).Set(int64(s.sem.InFlight()))
 	s.reg.Gauge("server.faults.injected", obs.Volatile).Set(int64(s.faults.Injected()))
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(obs.MetricsJSON(s.reg.Snapshot()))
+	report.WriteJSON(w, obs.MetricsJSON(s.reg.Snapshot()))
 }
 
 // handleCorpus lists the embedded benchmark programs.
@@ -229,7 +227,5 @@ func (s *Server) handleCorpus(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, entry{Name: p.Name, Description: p.Description})
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	report.WriteJSON(w, out)
 }

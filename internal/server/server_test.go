@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -134,12 +136,23 @@ func TestAnalyzeSourceNormalization(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAllBackends: every backend answers /v1/analyze, and the
+// body is byte-identical to the CLI's -print json golden for the same
+// corpus program (one solution document, two surfaces).
 func TestAnalyzeAllBackends(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	for _, b := range []string{"ci", "cs", "andersen", "steensgaard"} {
 		resp, body := post(t, ts.URL+"/v1/analyze", map[string]string{"corpus": "part", "backend": b}, nil)
 		if resp.StatusCode != 200 {
 			t.Errorf("%s: status %d: %s", b, resp.StatusCode, body)
+		}
+		golden := filepath.Join("..", "..", "cmd", "aliaslab", "testdata", "backend_"+b+"_json_part.golden")
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Errorf("%s: /v1/analyze body differs from %s:\n--- got\n%s--- want\n%s", b, golden, body, want)
 		}
 	}
 }

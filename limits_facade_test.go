@@ -1,7 +1,7 @@
 package aliaslab_test
 
 // Tests for the budget-governed facade paths: Analyze with non-zero
-// Limits, and VetLimited.
+// Limits, and Vet with non-zero Limits.
 
 import (
 	"context"
@@ -131,7 +131,7 @@ func TestAnalyzeLimitedCancelledContext(t *testing.T) {
 	}
 }
 
-func TestVetLimitedReportsDegradation(t *testing.T) {
+func TestVetWithLimitsReportsDegradation(t *testing.T) {
 	const leak = `
 int main(void) {
 	int *p;
@@ -144,7 +144,7 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, degraded, err := prog.VetLimited(context.Background(), aliaslab.Limits{MaxPairs: 1})
+	diags, degraded, err := prog.Vet(context.Background(), aliaslab.Limits{MaxPairs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ int main(void) {
 	}
 	_ = diags // best-effort findings; count is unspecified under a tripped budget
 
-	diags, degraded, err = prog.VetLimited(context.Background(), aliaslab.Limits{})
+	diags, degraded, err = prog.Vet(context.Background(), aliaslab.Limits{})
 	if err != nil || degraded {
 		t.Fatalf("unlimited vet degraded: %v, %v", degraded, err)
 	}
